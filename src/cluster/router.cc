@@ -10,16 +10,19 @@
 namespace optshare::cluster {
 
 using service::NetClient;
+using service::protocol::AdmitRequestLine;
 using service::protocol::ErrorResponse;
 using service::protocol::FormatResponseLine;
 using service::protocol::OkResponse;
-using service::protocol::ParseRequestLine;
 using service::protocol::Request;
 using service::protocol::RequestOp;
 using service::protocol::Response;
 
 ClusterRouter::ClusterRouter(RouterOptions options)
-    : options_(std::move(options)), placement_(options_.placement) {}
+    : options_(std::move(options)),
+      line_caps_{options_.max_request_bytes,
+                 options_.max_batch_request_bytes},
+      placement_(options_.placement) {}
 
 PlacementMap ClusterRouter::CurrentPlacement() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -52,20 +55,12 @@ Result<Response> ClusterRouter::ChannelCall(Channel* channel,
 
 std::string ClusterRouter::RouteLine(const std::string& line,
                                      Channel* channel) {
-  // Parse under the batch cap so a legal v3 batch frame survives; a line
-  // over the plain cap that is NOT a batch still answers the plain-cap
-  // rejection (re-parsing under the plain cap reproduces those bytes).
-  Result<Request> parsed =
-      ParseRequestLine(line, max_batch_request_bytes());
-  if (options_.max_request_bytes > 0 &&
-      line.size() > options_.max_request_bytes &&
-      !(parsed.ok() && parsed->op == RequestOp::kBatch)) {
-    parsed = ParseRequestLine(line, options_.max_request_bytes);
+  Request request;
+  if (const std::optional<Response> rejected =
+          AdmitRequestLine(line, line_caps_, &request)) {
+    return FormatResponseLine(*rejected);
   }
-  if (!parsed.ok()) {
-    return FormatResponseLine(ErrorResponse("", parsed.status()));
-  }
-  return FormatResponseLine(Route(*parsed, channel));
+  return FormatResponseLine(Route(request, channel));
 }
 
 Response ClusterRouter::Route(const Request& request, Channel* channel) {
@@ -701,7 +696,7 @@ void RouterServer::Serve(net::Socket socket) {
   ClusterRouter::Channel channel;
   // Frame under the batch cap so a legal v3 batch frame is never torn;
   // RouteLine enforces the plain cap on non-batch lines after parsing.
-  net::LineBuffer lines(router_->max_batch_request_bytes());
+  net::LineBuffer lines(router_->line_caps().framing_bytes());
   char buf[16384];
   std::string line;
   while (!stop_.load()) {
@@ -720,8 +715,8 @@ void RouterServer::Serve(net::Socket socket) {
       if (next == net::LineBuffer::Next::kNeedMore) break;
       std::string response_line;
       if (next == net::LineBuffer::Next::kTooLong) {
-        response_line = FormatResponseLine(ErrorResponse(
-            "", Status::ResourceExhausted("request line exceeds limit")));
+        response_line = FormatResponseLine(
+            service::protocol::OversizedLineResponse(router_->line_caps()));
       } else {
         response_line = router_->RouteLine(line, &channel);
       }

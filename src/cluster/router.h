@@ -79,11 +79,8 @@ struct RouterOptions {
   service::NetClient::ConnectOptions connect{/*timeout_ms=*/500,
                                             /*retries=*/0,
                                             /*backoff_ms=*/50};
-  /// Request-line cap, mirroring MarketplaceServer's.
+  /// Request-line caps, as in ServerOptions (see protocol::LineCaps).
   size_t max_request_bytes = service::protocol::kDefaultMaxRequestBytes;
-  /// Line cap for v3 batch frames, mirroring MarketplaceServer's: batch
-  /// lines frame under max(max_request_bytes, max_batch_request_bytes);
-  /// everything else still answers the plain-cap rejection.
   size_t max_batch_request_bytes =
       service::protocol::kDefaultMaxBatchRequestBytes;
 };
@@ -101,8 +98,10 @@ class ClusterRouter {
     std::map<std::string, service::NetClient> clients;  ///< node id → conn.
   };
 
-  /// The router's HandleLine: parse one request line, route it, return the
-  /// serialized response line. Parse errors answer locally, like a node.
+  /// The router's HandleLine: admit one request line
+  /// (protocol::AdmitRequestLine), route it, return the serialized
+  /// response line. A rejected line answers locally, byte-identical to a
+  /// node's answer.
   std::string RouteLine(const std::string& line, Channel* channel);
 
   /// Typed form of RouteLine (the in-process test surface).
@@ -120,15 +119,7 @@ class ClusterRouter {
   /// The router's own server_info payload.
   JsonValue InfoJson() const;
   bool shutdown_requested() const { return shutdown_requested_.load(); }
-  size_t max_request_bytes() const { return options_.max_request_bytes; }
-  /// Effective framing cap for one line: 0 (uncapped) when the plain cap
-  /// is 0, else at least the plain cap — same rule as MarketplaceServer.
-  size_t max_batch_request_bytes() const {
-    if (options_.max_request_bytes == 0) return 0;
-    return options_.max_batch_request_bytes > options_.max_request_bytes
-               ? options_.max_batch_request_bytes
-               : options_.max_request_bytes;
-  }
+  const service::protocol::LineCaps& line_caps() const { return line_caps_; }
 
  private:
   using Request = service::protocol::Request;
@@ -169,6 +160,7 @@ class ClusterRouter {
                                const Status& live_failure);
 
   RouterOptions options_;
+  const service::protocol::LineCaps line_caps_;
 
   mutable std::mutex mu_;  ///< Guards placement_ + tenancy_owner_. Never
                            ///< held across a network call.

@@ -1,11 +1,10 @@
 // Test-only heap-allocation counting: replaces the global operator
 // new/delete with malloc-backed versions that bump a thread-local counter,
-// so tests and benches can pin "zero allocations per request" as a hard
-// number instead of a hope (tests/service_wire_fast_test.cc,
-// bench/protocol_speed.cc).
+// so tests can pin "zero allocations per request" as a hard number
+// instead of a hope (tests/service_wire_fast_test.cc).
 //
 // This header DEFINES the replacement operators — include it in exactly
-// one translation unit per binary (the test's or bench's own .cc), never
+// one translation unit per binary (the test's own .cc), never
 // from another header and never in library code. Under ASan/TSan the
 // replacement is disabled (the sanitizer runtimes own the allocator and
 // interpose malloc themselves); callers must check

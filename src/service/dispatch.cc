@@ -20,36 +20,20 @@ std::string* ResponseScratch() {
 
 bool RequestDispatcher::Submit(const std::string& line,
                                std::function<void(std::string_view)> done) {
-  // Transports frame under the batch line cap (the larger budget) so a
-  // legal v3 batch frame is never torn mid-stream; anything that big and
-  // NOT a batch still answers the plain-cap rejection — the same bytes the
-  // bounded readers answered before batch framing existed.
-  Result<protocol::Request> request =
-      protocol::ParseRequestLine(line, server_->max_batch_request_bytes());
-  const size_t plain_cap = server_->max_request_bytes();
-  if (plain_cap > 0 && line.size() > plain_cap &&
-      !(request.ok() && request->op == protocol::RequestOp::kBatch)) {
-    const std::string response = OversizedLineResponse();
-    done(response);
-    return false;
-  }
-  if (!request.ok()) {
-    // The client's version is unknowable from an unparseable line; answer
-    // with the oldest version so every client generation can read it —
-    // exactly HandleLine's behavior.
-    protocol::Response error = protocol::ErrorResponse("", request.status());
-    error.version = protocol::kMinProtocolVersion;
+  protocol::Request request;
+  if (const std::optional<protocol::Response> rejected =
+          protocol::AdmitRequestLine(line, server_->line_caps(), &request)) {
     std::string* scratch = ResponseScratch();
-    protocol::AppendResponseLine(error, scratch);
+    protocol::AppendResponseLine(*rejected, scratch);
     done(*scratch);
     return false;
   }
-  const bool is_shutdown = request->op == protocol::RequestOp::kShutdown;
+  const bool is_shutdown = request.op == protocol::RequestOp::kShutdown;
   // The raw line rides along so a single-tenancy batch frame journals
   // verbatim; it is only read during the call itself (the line buffer is
   // reused once Submit returns).
   server_->DispatchCallback(
-      std::move(*request),
+      std::move(request),
       [done = std::move(done)](protocol::Response response) {
         std::string* scratch = ResponseScratch();
         protocol::AppendResponseLine(response, scratch);
@@ -60,13 +44,8 @@ bool RequestDispatcher::Submit(const std::string& line,
 }
 
 std::string RequestDispatcher::OversizedLineResponse() const {
-  protocol::Response error = protocol::ErrorResponse(
-      "", Status::ResourceExhausted(
-              "request line exceeds the " +
-              std::to_string(server_->max_request_bytes()) +
-              "-byte cap (--max-request-bytes)"));
-  error.version = protocol::kMinProtocolVersion;
-  return protocol::FormatResponseLine(error);
+  return protocol::FormatResponseLine(
+      protocol::OversizedLineResponse(server_->line_caps()));
 }
 
 uint64_t OrderedLineWriter::Reserve() {

@@ -40,9 +40,9 @@ class RequestDispatcher {
               std::function<void(std::string_view)> done);
 
   /// The response line for a request the transport's own bounded reader
-  /// already discarded as over-cap (it never saw the full line, so it
-  /// cannot call Submit). Identical bytes to what Submit answers for an
-  /// over-cap line it measures itself.
+  /// already discarded as over the framing cap (it never saw the full
+  /// line, so it cannot call Submit). Identical bytes to what Submit
+  /// answers for an over-cap line it measures itself.
   std::string OversizedLineResponse() const;
 
   MarketplaceServer* server() const { return server_; }

@@ -103,11 +103,10 @@ JsonValue ToJson(const RecoveryStats& stats) {
 MarketplaceServer::MarketplaceServer(ServerOptions options)
     : store_(options.store ? std::move(options.store)
                            : std::make_shared<MemoryStateStore>()),
-      max_request_bytes_(options.max_request_bytes),
+      line_caps_{options.max_request_bytes, options.max_batch_request_bytes},
       export_dir_(std::move(options.export_dir)),
       enable_read_path_(options.enable_read_path),
       admission_(options.admission),
-      max_batch_request_bytes_(options.max_batch_request_bytes),
       pool_(options.num_workers) {
   // Resolve every registry-touching race up front: baselines register once,
   // before the first concurrent Create on a shard.
@@ -489,35 +488,23 @@ Response MarketplaceServer::Handle(Request request) {
 }
 
 std::string MarketplaceServer::HandleLine(const std::string& line) {
-  // Parse under the batch line cap (the larger budget), but keep every
-  // non-batch line answering under the plain cap — byte-identical to the
-  // pre-batch server for all old inputs, including over-cap garbage. The
-  // re-parse below fails at the size check before touching the bytes.
-  Result<Request> request =
-      protocol::ParseRequestLine(line, max_batch_request_bytes());
-  if (max_request_bytes_ > 0 && line.size() > max_request_bytes_ &&
-      !(request.ok() && request->op == RequestOp::kBatch)) {
-    request = protocol::ParseRequestLine(line, max_request_bytes_);
+  Request request;
+  if (const std::optional<Response> rejected =
+          protocol::AdmitRequestLine(line, line_caps_, &request)) {
+    return protocol::FormatResponseLine(*rejected);
   }
-  if (!request.ok()) {
-    // The client's version is unknowable from an unparseable line; answer
-    // with the oldest version so every client generation can read it.
-    Response error = ErrorResponse("", request.status());
-    error.version = protocol::kMinProtocolVersion;
-    return protocol::FormatResponseLine(error);
-  }
-  if (request->op == RequestOp::kBatch) {
+  if (request.op == RequestOp::kBatch) {
     // Hand the raw frame along so a single-tenancy batch journals it
     // verbatim instead of re-serializing every member.
     auto promise = std::make_shared<std::promise<Response>>();
     std::future<Response> response = promise->get_future();
     DispatchCallback(
-        std::move(*request),
+        std::move(request),
         [promise](Response resolved) { promise->set_value(std::move(resolved)); },
         &line);
     return protocol::FormatResponseLine(response.get());
   }
-  return protocol::FormatResponseLine(Handle(std::move(*request)));
+  return protocol::FormatResponseLine(Handle(std::move(request)));
 }
 
 void MarketplaceServer::Drain() { pool_.Drain(); }

@@ -59,13 +59,13 @@ struct ServerOptions {
   /// names hash to the same shard share a worker; 8 matches the bench
   /// sweep's top end.
   int num_workers = 4;
-  /// Cap on one request line through HandleLine; longer lines are rejected
-  /// with ResourceExhausted before parsing. 0 disables the cap.
+  /// Cap on one request line that is not a v3 batch frame; longer lines
+  /// answer ResourceExhausted. 0 disables both caps.
   size_t max_request_bytes = protocol::kDefaultMaxRequestBytes;
   /// Cap on one v3 batch frame line. Batch frames carry many requests, so
   /// they get their own (larger) budget instead of being silently cut off
   /// at max_request_bytes; the effective cap is the larger of the two (see
-  /// max_batch_request_bytes()). 0 inherits max_request_bytes semantics.
+  /// protocol::LineCaps).
   size_t max_batch_request_bytes = protocol::kDefaultMaxBatchRequestBytes;
   /// Server-wide default admission quota per tenancy (mutating ops only).
   /// The default (unlimited) changes nothing; a tenancy's open_period
@@ -146,10 +146,10 @@ class MarketplaceServer {
   /// Synchronous convenience: Dispatch + wait.
   protocol::Response Handle(protocol::Request request);
 
-  /// The wire loop's unit of work: parse one request line, execute it,
-  /// serialize the response line (parse errors become error responses, so
-  /// the caller always gets exactly one line back). Lines longer than
-  /// ServerOptions::max_request_bytes answer ResourceExhausted unparsed.
+  /// The wire loop's unit of work: admit one request line
+  /// (protocol::AdmitRequestLine under line_caps()), execute it, serialize
+  /// the response line. A rejected line answers its error, so the caller
+  /// always gets exactly one line back.
   std::string HandleLine(const std::string& line);
 
   /// Blocks until every request dispatched before the call has finished.
@@ -179,17 +179,10 @@ class MarketplaceServer {
   bool shutdown_requested() const { return shutdown_requested_.load(); }
 
   int num_workers() const { return pool_.num_threads(); }
-  /// The request-line cap transports must enforce while framing (the same
-  /// value HandleLine applies when parsing).
-  size_t max_request_bytes() const { return max_request_bytes_; }
-  /// The line cap transports must actually frame at: large enough for a
-  /// legal v3 batch frame. Non-batch lines over max_request_bytes() still
-  /// answer the plain-cap ResourceExhausted after framing. 0 = uncapped
-  /// (mirrors max_request_bytes() == 0).
-  size_t max_batch_request_bytes() const {
-    if (max_request_bytes_ == 0) return 0;
-    return std::max(max_request_bytes_, max_batch_request_bytes_);
-  }
+  /// The request-line caps every transport in front of this server
+  /// applies: frame under line_caps().framing_bytes(), then admit through
+  /// protocol::AdmitRequestLine.
+  const protocol::LineCaps& line_caps() const { return line_caps_; }
   const StateStore& store() const { return *store_; }
 
   /// Installs (or, with nullptr, removes) the transport-counters provider
@@ -314,7 +307,7 @@ class MarketplaceServer {
   mutable std::mutex mu_;  ///< Guards tenancies_ (the map, not its values).
   std::unordered_map<std::string, std::unique_ptr<Tenancy>> tenancies_;
   std::shared_ptr<StateStore> store_;
-  size_t max_request_bytes_ = protocol::kDefaultMaxRequestBytes;
+  protocol::LineCaps line_caps_;
   std::atomic<bool> shutdown_requested_{false};
   std::atomic<bool> shut_down_{false};
   mutable std::mutex recovery_mu_;  ///< Guards the two fields below.
@@ -347,7 +340,6 @@ class MarketplaceServer {
   /// Consulted by DispatchCallback/DispatchBatch only — replay calls
   /// Execute directly, so recovery is never throttled.
   AdmissionController admission_;
-  size_t max_batch_request_bytes_ = protocol::kDefaultMaxBatchRequestBytes;
   ThreadPool pool_;  ///< Last member: destroyed first, so workers stop
                      ///< before the state they touch goes away.
 };

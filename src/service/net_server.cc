@@ -24,8 +24,9 @@ constexpr int kMaxPendingPerConnection = 512;
 constexpr size_t kReadChunkBytes = 64 * 1024;
 
 /// How long a graceful drain waits for clients to read their final
-/// responses before force-closing them (a client that never drains its
-/// shutdown response must not wedge Wait()).
+/// responses, and how long a lingering close waits for the peer's EOF,
+/// before force-closing (a client that never drains its shutdown response
+/// must not wedge Wait()).
 constexpr auto kDrainGrace = std::chrono::seconds(5);
 
 std::string ErrorLine(Status status) {
@@ -173,12 +174,18 @@ struct NetServer::Connection {
   bool stop_reading = false;
   bool overflowed = false;
   bool close_after_flush = false;
-  bool dead = false;  ///< Socket closed; late responses are dropped.
+  /// Socket closed or lingering: nothing more is written, late responses
+  /// are dropped.
+  bool dead = false;
   /// When backpressure condemned this connection; after a grace period a
-  /// peer that never drains is force-closed, buffer and all.
+  /// peer that never drains lingers with its buffer dropped.
   std::chrono::steady_clock::time_point condemned_at{};
 
   bool eof_seen = false;  ///< Loop-only: peer half-closed; drain then close.
+  /// Loop-only: our side is shut down for writing and the peer's input is
+  /// read and discarded until its EOF or linger_deadline.
+  bool lingering = false;
+  std::chrono::steady_clock::time_point linger_deadline{};
   TokenBucket rate;             ///< Loop-only: per-connection request rate.
   std::string line_scratch;     ///< Loop-only: reused request-line buffer.
   std::atomic<int> pending{0};  ///< Dispatched, response not yet queued.
@@ -259,6 +266,7 @@ void NetServer::Loop() {
   std::vector<std::shared_ptr<Connection>> conns;
   bool accepting = true;
   bool drain_logged = false;
+  bool drain_expired = false;
   std::chrono::steady_clock::time_point drain_start{};
   std::vector<pollfd> fds;
   // Parallel to fds: index into conns, or -1 for wake/listener entries.
@@ -273,6 +281,38 @@ void NetServer::Loop() {
     }
     shared_->connections_open.fetch_sub(1, std::memory_order_relaxed);
     conns.erase(conns.begin() + static_cast<long>(index));
+  };
+
+  // The lingering close: send FIN after whatever the kernel already holds,
+  // then read and discard the peer's input until its EOF (or the deadline)
+  // before closing. close() with unread input in the receive queue makes
+  // the kernel answer RST instead, which fails the peer's pending sends
+  // and can destroy responses it has not read yet (a backpressure verdict
+  // included). Unflushed responses are dropped.
+  const auto linger = [&](Connection& conn) {
+    {
+      std::lock_guard<std::mutex> lock(conn.mu);
+      conn.dead = true;
+      conn.stop_reading = true;
+      conn.out.clear();
+      conn.out_offset = 0;
+    }
+    ::shutdown(conn.socket.fd(), SHUT_WR);
+    conn.lingering = true;
+    conn.linger_deadline = std::chrono::steady_clock::now() + kDrainGrace;
+  };
+
+  // Reads and discards a lingering connection's input. Returns false once
+  // the peer is done (EOF or error): the caller closes.
+  const auto discard_input = [&](Connection& conn) {
+    char buf[kReadChunkBytes];
+    for (;;) {
+      Result<net::IoChunk> got = net::ReadChunk(conn.socket.fd(), buf,
+                                                sizeof(buf));
+      if (!got.ok() || got->eof) return false;
+      if (got->would_block) return true;
+      shared_->bytes_read.fetch_add(got->bytes, std::memory_order_relaxed);
+    }
   };
 
   // Flushes as much of conn->out as the kernel accepts. Returns false when
@@ -396,41 +436,49 @@ void NetServer::Loop() {
     }
 
     // Close every connection that has finished its lifecycle: peer gone,
-    // condemned by backpressure with its buffer flushed, or fully drained
-    // during shutdown.
+    // fully drained during shutdown, or done lingering. One condemned by
+    // backpressure lingers once its verdict is flushed.
+    const auto now = std::chrono::steady_clock::now();
     for (size_t i = conns.size(); i-- > 0;) {
-      const std::shared_ptr<Connection>& conn = conns[i];
+      Connection& conn = *conns[i];
+      if (conn.lingering) {
+        if (now > conn.linger_deadline) close_connection(i);
+        continue;
+      }
       bool close_now = false;
+      bool linger_now = false;
       {
         // pending == 0 means every submitted callback has already run its
         // writer.Complete (the decrement follows it), so the writer is
         // flushed into `out` by construction — no writer-mutex probe here
         // (that would invert the Complete -> QueueResponse lock order).
-        std::lock_guard<std::mutex> lock(conn->mu);
-        const bool idle =
-            conn->pending.load(std::memory_order_acquire) == 0 &&
-            conn->UnflushedLocked() == 0;
-        close_now = idle && (conn->eof_seen || conn->close_after_flush ||
-                             (draining && conn->stop_reading));
+        std::lock_guard<std::mutex> lock(conn.mu);
+        const bool idle = conn.pending.load(std::memory_order_acquire) == 0 &&
+                          conn.UnflushedLocked() == 0;
         // A condemned peer that never drains its final error would hold
         // the connection (and its bounded buffer) forever; after the
-        // grace period it is dropped, unflushed bytes and all.
-        if (!close_now && conn->overflowed &&
-            std::chrono::steady_clock::now() - conn->condemned_at >
-                kDrainGrace) {
-          close_now = true;
-        }
+        // grace period it lingers with its unflushed bytes dropped.
+        linger_now = conn.close_after_flush &&
+                     (idle || now - conn.condemned_at > kDrainGrace);
+        close_now = !conn.close_after_flush && idle &&
+                    (conn.eof_seen || (draining && conn.stop_reading));
       }
-      if (close_now) close_connection(i);
+      if (close_now) {
+        close_connection(i);
+      } else if (linger_now) {
+        linger(conn);
+      }
     }
     if (draining) {
       if (conns.empty()) break;
-      if (std::chrono::steady_clock::now() - drain_start > kDrainGrace) {
+      if (!drain_expired && now - drain_start > kDrainGrace) {
+        drain_expired = true;
         OPTSHARE_LOG(Warning)
-            << "net: drain grace expired; dropping " << conns.size()
-            << " connections with unread responses";
-        while (!conns.empty()) close_connection(conns.size() - 1);
-        break;
+            << "net: drain grace expired; dropping the unread responses of "
+            << conns.size() << " connections";
+        for (const std::shared_ptr<Connection>& conn : conns) {
+          if (!conn->lingering) linger(*conn);
+        }
       }
     }
 
@@ -448,8 +496,8 @@ void NetServer::Loop() {
     }
     for (size_t i = 0; i < conns.size(); ++i) {
       const std::shared_ptr<Connection>& conn = conns[i];
-      short events = 0;
-      {
+      short events = conn->lingering ? POLLIN : 0;
+      if (!conn->lingering) {
         std::lock_guard<std::mutex> lock(conn->mu);
         if (!conn->stop_reading &&
             conn->pending.load(std::memory_order_acquire) <
@@ -516,7 +564,7 @@ void NetServer::Loop() {
         shared_->connections_open.fetch_add(1, std::memory_order_relaxed);
         conns.push_back(std::make_shared<Connection>(
             std::move(*accepted), shared_,
-            server_->max_batch_request_bytes(),
+            server_->line_caps().framing_bytes(),
             options_.max_write_buffer_bytes, backpressure_line,
             options_.max_connection_requests_per_sec));
       }
@@ -524,7 +572,9 @@ void NetServer::Loop() {
 
     for (const auto& [conn, revents] : events) {
       bool healthy = true;
-      if (revents & (POLLIN | POLLHUP)) {
+      if (conn->lingering) {
+        healthy = !(revents & (POLLIN | POLLHUP)) || discard_input(*conn);
+      } else if (revents & (POLLIN | POLLHUP)) {
         healthy = read_and_dispatch(conn);
       }
       if (healthy && (revents & POLLOUT)) healthy = flush_writes(*conn);

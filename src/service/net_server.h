@@ -16,24 +16,25 @@
 //     stdin serve loop's contract — both transports share one
 //     RequestDispatcher path, so their bytes cannot diverge.
 //   - Framing survives hostile input: connections frame under the
-//     server's max_batch_request_bytes (so a legal v3 batch frame is
+//     server's line_caps().framing_bytes() (so a legal v3 batch frame is
 //     never truncated mid-stream); anything longer answers a typed
 //     ResourceExhausted and the rest of the oversize line is discarded
 //     in-stream (common/net.h LineBuffer). Non-batch lines over the plain
-//     max_request_bytes cap answer the same typed rejection from the
-//     dispatcher.
+//     cap answer the same bytes from protocol::AdmitRequestLine.
 //   - Backpressure is bounded and local: a reader that stops draining
 //     queues at most max_write_buffer_bytes of responses, then gets a
-//     final ResourceExhausted line and a close — it never blocks the
-//     event loop or other connections (the loop only ever does
-//     non-blocking writes).
+//     final ResourceExhausted line and a lingering close (FIN after the
+//     verdict, its further input discarded until it closes, so no RST
+//     destroys the verdict) — it never blocks the event loop or other
+//     connections (the loop only ever does non-blocking writes).
 //   - Disconnects are connection-scoped: requests already dispatched keep
 //     executing on their shards (tenancy state stays consistent), and
 //     their responses are dropped when they resolve.
 //
 // A wire `shutdown` request drains: the listener closes, every connection
-// stops reading, queued responses flush, then the loop exits and Wait()
-// returns — the caller runs MarketplaceServer::Shutdown() for the PR 4
+// stops reading, queued responses flush (a connection still unflushed
+// after the drain grace gets a lingering close), then the loop exits and
+// Wait() returns — the caller runs MarketplaceServer::Shutdown() for the
 // checkpoint path. Destroying a NetServer without a shutdown op models a
 // crash (sockets drop mid-stream; a FileStateStore-backed server recovers
 // from its journal).

@@ -1045,30 +1045,58 @@ Result<Response> ResponseFromJson(const JsonValue& v) {
   return response;
 }
 
-Result<Request> ParseRequestLineTree(const std::string& line,
-                                     size_t max_bytes) {
-  if (max_bytes > 0 && line.size() > max_bytes) {
-    return Status::ResourceExhausted(
-        "request line of " + std::to_string(line.size()) +
-        " bytes exceeds the " + std::to_string(max_bytes) + "-byte cap");
-  }
+Result<Request> ParseRequestLineTree(const std::string& line) {
   Result<JsonValue> doc = JsonValue::Parse(line);
   if (!doc.ok()) return doc.status();
   return RequestFromJson(*doc);
 }
 
-Result<Request> ParseRequestLine(const std::string& line, size_t max_bytes) {
-  if (max_bytes > 0 && line.size() > max_bytes) {
-    return Status::ResourceExhausted(
-        "request line of " + std::to_string(line.size()) +
-        " bytes exceeds the " + std::to_string(max_bytes) + "-byte cap");
-  }
+Result<Request> ParseRequestLine(const std::string& line) {
   Request fast;
   if (TryFastParseRequestLine(line, &fast)) return fast;
   // The scanner only accepts documents it is certain the tree parser
   // accepts identically; everything else — including every malformed
   // line — re-parses here so rejection semantics cannot drift.
   return ParseRequestLineTree(line);
+}
+
+namespace {
+
+Response RejectedLineResponse(Status status) {
+  Response response = ErrorResponse("", std::move(status));
+  response.version = kMinProtocolVersion;
+  return response;
+}
+
+}  // namespace
+
+std::optional<Response> AdmitRequestLine(const std::string& line,
+                                         const LineCaps& caps,
+                                         Request* request) {
+  const bool over_cap =
+      caps.request_bytes > 0 && line.size() > caps.request_bytes;
+  if (over_cap && line.size() > caps.framing_bytes()) {
+    return OversizedLineResponse(caps);
+  }
+  // ParseRequestLine, filling *request in place on the fast path.
+  if (!TryFastParseRequestLine(line, request)) {
+    Result<Request> parsed = ParseRequestLineTree(line);
+    if (!parsed.ok()) {
+      return over_cap ? OversizedLineResponse(caps)
+                      : RejectedLineResponse(parsed.status());
+    }
+    *request = std::move(*parsed);
+  }
+  if (over_cap && request->op != RequestOp::kBatch) {
+    return OversizedLineResponse(caps);
+  }
+  return std::nullopt;
+}
+
+Response OversizedLineResponse(const LineCaps& caps) {
+  return RejectedLineResponse(Status::ResourceExhausted(
+      "request line exceeds the " + std::to_string(caps.request_bytes) +
+      "-byte cap (--max-request-bytes)"));
 }
 
 std::string FormatResponseLine(const Response& response) {

@@ -257,8 +257,8 @@ Result<CatalogSpec> CatalogSpecFromJson(const JsonValue& v);
 Result<PeriodReport> PeriodReportFromJson(const JsonValue& v);
 
 /// Parses one wire line into a request (strict: version check, unknown
-/// fields rejected). `max_bytes` > 0 rejects longer lines with
-/// ResourceExhausted before parsing (the protocol-robustness cap).
+/// fields rejected). No size cap: front ends admit lines through
+/// AdmitRequestLine.
 ///
 /// This is the serving hot path: it first attempts the single-pass,
 /// non-materializing scanner (service/fast_wire.h), which fills the
@@ -266,14 +266,46 @@ Result<PeriodReport> PeriodReportFromJson(const JsonValue& v);
 /// tree, and falls back to the tree parser for anything the scanner does
 /// not recognize — so acceptance/rejection semantics (and every error
 /// message) are exactly the tree parser's.
-Result<Request> ParseRequestLine(const std::string& line,
-                                 size_t max_bytes = 0);
+Result<Request> ParseRequestLine(const std::string& line);
 
 /// The original JsonValue-tree parse path, kept callable on its own so the
-/// differential and fuzz suites (and the protocol bench) can pin the fast
+/// differential and fuzz suites (and the serving gates) can pin the fast
 /// scanner against it byte-for-byte.
-Result<Request> ParseRequestLineTree(const std::string& line,
-                                     size_t max_bytes = 0);
+Result<Request> ParseRequestLineTree(const std::string& line);
+
+/// The request-line caps of one front end: a node's MarketplaceServer or a
+/// ClusterRouter, whether lines arrive over TCP, stdin or in process.
+struct LineCaps {
+  /// A line that is not a v3 batch frame may be at most this long.
+  /// 0 disables both caps.
+  size_t request_bytes = kDefaultMaxRequestBytes;
+  /// A batch frame may be up to max(request_bytes, batch_request_bytes).
+  size_t batch_request_bytes = kDefaultMaxBatchRequestBytes;
+
+  /// The cap transports frame lines under, so a legal batch frame is never
+  /// torn mid-stream (0 = uncapped).
+  size_t framing_bytes() const {
+    if (request_bytes == 0) return 0;
+    return request_bytes > batch_request_bytes ? request_bytes
+                                               : batch_request_bytes;
+  }
+};
+
+/// The line-admission rule every front end applies to one framed line:
+/// a line over caps.framing_bytes(), or a non-batch line over
+/// caps.request_bytes, answers OversizedLineResponse(caps); a line that
+/// does not parse answers its parse error. A rejected line is answered
+/// with no id at kMinProtocolVersion — neither can be read from it — so
+/// a node and a router answer it with the same bytes. Returns nullopt when
+/// the line is admitted, with the request in *request.
+std::optional<Response> AdmitRequestLine(const std::string& line,
+                                         const LineCaps& caps,
+                                         Request* request);
+
+/// The answer to a line over `caps`. Transports that discard such a line
+/// while framing answer it with this too, which is why its text carries
+/// the cap but not the line's length.
+Response OversizedLineResponse(const LineCaps& caps);
 
 /// Serializes a response as one compact wire line (no trailing newline).
 std::string FormatResponseLine(const Response& response);

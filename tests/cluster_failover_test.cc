@@ -17,6 +17,8 @@
 #include "cluster/router.h"
 #include "common/rng.h"
 #include "service/marketplace_server.h"
+#include "service/net_client.h"
+#include "service/net_server.h"
 #include "simdb/scenarios.h"
 
 namespace optshare::cluster {
@@ -154,9 +156,8 @@ struct TestCluster {
   }
 };
 
-/// Two-phase ephemeral-port bootstrap, same as bench/cluster_speed.cc:
-/// start nodes under a provisional map (ports unknown), then publish the
-/// post-bind map as a newer version.
+/// Two-phase ephemeral-port bootstrap: start nodes under a provisional map
+/// (ports unknown), then publish the post-bind map as a newer version.
 std::unique_ptr<TestCluster> StartCluster(int num_nodes, int workers) {
   std::vector<NodeInfo> entries;
   for (int n = 0; n < num_nodes; ++n) {
@@ -623,6 +624,68 @@ TEST(ClusterBatchTest, RoutedBatchMatchesSequentialSendsByteForByte) {
   ASSERT_EQ(docs->AsArray().size(), lines.size());
   for (size_t i = 0; i < lines.size(); ++i) {
     EXPECT_EQ(docs->AsArray()[i].Dump(), sequential[i]) << "member " << i;
+  }
+}
+
+// A client cannot tell a router from a node by how a rejected line is
+// answered: an unparseable line and a non-batch line over the 64-byte cap
+// get byte-identical answers from a node (HandleLine and TCP) and from a
+// router (RouteLine and TCP), both when the long line is admitted under a
+// larger batch cap and when framing discards it.
+TEST(ClusterFrontEndTest, RejectedLinesAnswerLikeANodeByteForByte) {
+  const std::string report_line =
+      R"({"v":1,"op":"report","tenancy":")" + std::string(70, 't') +
+      R"(","id":"r1"})";
+  ASSERT_EQ(report_line.size(), 114u);
+  const std::vector<std::string> lines = {R"({"v":1,"op":)", report_line};
+  const std::string oversize =
+      R"x({"error":{"code":"ResourceExhausted","message":"request line )x"
+      R"x(exceeds the 64-byte cap (--max-request-bytes)"},"ok":false,"v":1})x";
+
+  for (const size_t batch_cap : {size_t{1} << 20, size_t{64}}) {
+    SCOPED_TRACE("batch cap " + std::to_string(batch_cap));
+    service::ServerOptions server_options;
+    server_options.num_workers = 1;
+    server_options.max_request_bytes = 64;
+    server_options.max_batch_request_bytes = batch_cap;
+    service::MarketplaceServer server(std::move(server_options));
+    service::NetServer node(&server);
+    ASSERT_TRUE(node.Start().ok());
+
+    Result<PlacementMap> placement =
+        PlacementMap::Create({{"node-0", "127.0.0.1", node.port(), false}});
+    ASSERT_TRUE(placement.ok()) << placement.status().ToString();
+    RouterOptions router_options;
+    router_options.placement = *placement;
+    router_options.max_request_bytes = 64;
+    router_options.max_batch_request_bytes = batch_cap;
+    ClusterRouter router(router_options);
+    RouterServer router_server(&router);
+    ASSERT_TRUE(router_server.Start().ok());
+
+    Result<service::NetClient> to_node =
+        service::NetClient::Connect("127.0.0.1", node.port());
+    Result<service::NetClient> to_router =
+        service::NetClient::Connect("127.0.0.1", router_server.port());
+    ASSERT_TRUE(to_node.ok() && to_router.ok());
+    ClusterRouter::Channel channel;
+    for (const std::string& line : lines) {
+      SCOPED_TRACE(line);
+      const std::string answer = server.HandleLine(line);
+      EXPECT_NE(answer.find("\"v\":1}"), std::string::npos) << answer;
+      if (line == report_line) {
+        EXPECT_EQ(answer, oversize);
+      }
+      EXPECT_EQ(router.RouteLine(line, &channel), answer);
+      Result<std::string> over_tcp = to_node->Call(line);
+      ASSERT_TRUE(over_tcp.ok()) << over_tcp.status().ToString();
+      EXPECT_EQ(*over_tcp, answer);
+      over_tcp = to_router->Call(line);
+      ASSERT_TRUE(over_tcp.ok()) << over_tcp.status().ToString();
+      EXPECT_EQ(*over_tcp, answer);
+    }
+    router_server.Stop();
+    node.Stop();
   }
 }
 

@@ -318,12 +318,20 @@ TEST(ResponseSerialization, PreservesTheEchoedVersion) {
 
 TEST(RequestParsing, OversizedLinesAreResourceExhausted) {
   std::string line = ToJson(SampleRequest(RequestOp::kSubmit)).Dump();
-  Result<Request> parsed = ParseRequestLine(line, /*max_bytes=*/64);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), StatusCode::kResourceExhausted);
+  Request request;
+  std::optional<Response> rejected =
+      AdmitRequestLine(line, LineCaps{64, 64}, &request);
+  ASSERT_TRUE(rejected.has_value());
+  EXPECT_EQ(rejected->status.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(rejected->version, kMinProtocolVersion);
+  // A larger batch cap admits only batch frames past the plain cap.
+  EXPECT_TRUE(AdmitRequestLine(line, LineCaps{64, 1 << 20}, &request)
+                  .has_value());
   // 0 disables the cap; a generous cap passes.
-  EXPECT_TRUE(ParseRequestLine(line).ok());
-  EXPECT_TRUE(ParseRequestLine(line, line.size()).ok());
+  EXPECT_FALSE(AdmitRequestLine(line, LineCaps{0, 0}, &request).has_value());
+  EXPECT_FALSE(AdmitRequestLine(line, LineCaps{line.size(), 0}, &request)
+                   .has_value());
+  EXPECT_EQ(request.op, RequestOp::kSubmit);
 }
 
 TEST(ResponseSerialization, ErrorCodesMapOntoStatus) {

@@ -353,44 +353,77 @@ TEST(ZeroAllocationTest, FixedSizeOpsParseAndSerializeWithoutHeap) {
   if (!alloc_count::AllocationCountingAvailable()) {
     GTEST_SKIP() << "allocation counting disabled under sanitizers";
   }
-  const std::vector<std::string> lines = {
-      R"({"v":1,"op":"advance_slot","tenancy":"acme","slots":3})",
-      R"({"v":1,"op":"report","tenancy":"acme","id":"r7"})",
-      R"({"v":2,"op":"report","tenancy":"acme","period":2})",
-      R"({"v":1,"op":"close_period","tenancy":"acme"})",
-      R"({"v":2,"op":"snapshot","tenancy":"acme"})",
-      R"({"v":2,"op":"server_info"})",
-      R"({"v":1,"op":"depart","tenancy":"acme","tenant":0})",
+  // Each request line round-trips with the response it is served with:
+  // parse, then serialize into a reused scratch.
+  struct Case {
+    std::string line;
+    Response response;
   };
-  Response response = OkResponse("r7", JsonValue::Bool(true));
+  const Response ack = OkResponse("r7", JsonValue::Bool(true));
+  std::vector<Case> cases;
+  for (const char* line : {
+           R"({"v":1,"op":"advance_slot","tenancy":"acme","slots":3})",
+           R"({"v":1,"op":"report","tenancy":"acme","id":"r7"})",
+           R"({"v":2,"op":"report","tenancy":"acme","period":2})",
+           R"({"v":1,"op":"close_period","tenancy":"acme"})",
+           R"({"v":2,"op":"snapshot","tenancy":"acme"})",
+           R"({"v":2,"op":"server_info"})",
+           R"({"v":1,"op":"depart","tenancy":"acme","tenant":0})",
+       }) {
+    cases.push_back({line, ack});
+  }
+  // An advance_slot answered with its slot and period.
+  {
+    JsonValue payload = JsonValue::MakeObject();
+    payload.Set("slot", JsonValue::Number(5));
+    payload.Set("period", JsonValue::Number(2));
+    cases.push_back(
+        {R"({"v":1,"op":"advance_slot","tenancy":"acme","slots":1})",
+         OkResponse("", std::move(payload))});
+  }
+  // A report answered with 16 tenants' values and payments.
+  {
+    JsonValue values = JsonValue::MakeArray();
+    JsonValue payments = JsonValue::MakeArray();
+    for (int i = 0; i < 16; ++i) {
+      values.Append(JsonValue::Number(137.5 + i));
+      payments.Append(JsonValue::Number(12.0625 * i));
+    }
+    JsonValue payload = JsonValue::MakeObject();
+    payload.Set("period", JsonValue::Number(2));
+    payload.Set("values", std::move(values));
+    payload.Set("payments", std::move(payments));
+    cases.push_back({R"({"v":1,"op":"report","tenancy":"acme","id":"r1"})",
+                     OkResponse("r1", std::move(payload))});
+  }
   std::string scratch;
 
   // Warm-up: let every lazily-grown buffer reach steady-state capacity.
   for (int i = 0; i < 4; ++i) {
-    for (const std::string& line : lines) {
-      const Result<Request> parsed = ParseRequestLine(line);
+    for (const Case& c : cases) {
+      const Result<Request> parsed = ParseRequestLine(c.line);
       ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
       scratch.clear();
-      AppendResponseLine(response, &scratch);
+      AppendResponseLine(c.response, &scratch);
     }
   }
 
   constexpr int kIterations = 256;
-  bool all_ok = true;
-  const uint64_t before = alloc_count::ThreadAllocations();
-  for (int i = 0; i < kIterations; ++i) {
-    for (const std::string& line : lines) {
-      const Result<Request> parsed = ParseRequestLine(line);
+  for (const Case& c : cases) {
+    bool all_ok = true;
+    const uint64_t before = alloc_count::ThreadAllocations();
+    for (int i = 0; i < kIterations; ++i) {
+      const Result<Request> parsed = ParseRequestLine(c.line);
       all_ok = all_ok && parsed.ok();
       scratch.clear();
-      AppendResponseLine(response, &scratch);
+      AppendResponseLine(c.response, &scratch);
     }
+    const uint64_t after = alloc_count::ThreadAllocations();
+    EXPECT_TRUE(all_ok) << c.line;
+    EXPECT_EQ(after - before, 0u)
+        << "the wire hot path allocated " << (after - before)
+        << " times over " << kIterations << " round trips of " << c.line;
   }
-  const uint64_t after = alloc_count::ThreadAllocations();
-  EXPECT_TRUE(all_ok);
-  EXPECT_EQ(after - before, 0u)
-      << "the wire hot path allocated " << (after - before) << " times over "
-      << kIterations * lines.size() << " requests";
 }
 
 }  // namespace

@@ -8,8 +8,9 @@
 //     lines/s) the margins are generous — CI runners vary — the gate
 //     exists to catch order-of-magnitude cliffs, not 5% jitter.
 //   - min / max: absolute bounds on the current value alone, for
-//     machine-independent ratios (speedups, scaling factors, allocation
-//     counts) that must hold on any hardware.
+//     machine-independent ratios (speedups, latency ratios, attack gains)
+//     that must hold on any hardware. An artifact gated only this way
+//     needs no snapshot (BENCH_serving.json has none).
 //
 // A metric entry may carry "waiver": "<reason>" to skip it temporarily;
 // the waiver is printed so it cannot rot silently. Exits non-zero when any

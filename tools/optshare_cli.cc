@@ -486,7 +486,8 @@ int Serve(int argc, char** argv) {
   std::string line;
   bool reading = true;
   while (reading) {
-    switch (ReadBoundedLine(std::cin, &line, max_request_bytes)) {
+    switch (ReadBoundedLine(std::cin, &line,
+                            server.line_caps().framing_bytes())) {
       case LineRead::kEof:
         reading = false;
         continue;
