@@ -17,6 +17,10 @@
 //       wall time of a journaled (FileStateStore) fleet program against
 //       the same program on the in-memory store.
 //
+// The two sides of each of the three speedup ratios are timed the same
+// way: repetitions in alternation, swapping which side goes first, and the
+// fastest of each side (Alternate).
+//
 //   serving_gates
 //
 // End-to-end serving throughput and latency are measured by perfbench/,
@@ -93,17 +97,41 @@ simdb::SimUser BenchTenant(int i, const char* device_column, int start,
   return tenant;
 }
 
-/// Best-of-3 wall time for `iters` calls of `fn`, in seconds.
-template <typename Fn>
-double MeasureSeconds(long long iters, Fn&& fn) {
-  double best = 1e300;
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    const auto start = Clock::now();
-    for (long long i = 0; i < iters; ++i) fn();
-    best = std::min(
-        best, std::chrono::duration<double>(Clock::now() - start).count());
+/// Repetitions per side of each speedup ratio.
+constexpr int kAlternations = 6;
+
+/// The two sides of a ratio, each the fastest of its repetitions.
+struct Sides {
+  double a;
+  double b;
+};
+
+/// Runs `a(rep)` and `b(rep)` kAlternations times each, in alternation,
+/// swapping which goes first on every repetition, so neither side gets
+/// the cold process or a quiet spell of the machine to itself. Each call
+/// returns its own wall time; other load on the machine only adds to it,
+/// so each side keeps its fastest.
+template <typename A, typename B>
+Sides Alternate(A&& a, B&& b) {
+  Sides best{1e300, 1e300};
+  for (int rep = 0; rep < kAlternations; ++rep) {
+    if (rep % 2 == 0) {
+      best.a = std::min(best.a, a(rep));
+      best.b = std::min(best.b, b(rep));
+    } else {
+      best.b = std::min(best.b, b(rep));
+      best.a = std::min(best.a, a(rep));
+    }
   }
   return best;
+}
+
+/// Wall time of `iters` calls of `fn`, in seconds.
+template <typename Fn>
+double TimeSeconds(long long iters, Fn&& fn) {
+  const auto start = Clock::now();
+  for (long long i = 0; i < iters; ++i) fn();
+  return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
 /// An iteration count that makes one repeat of `fn` run for about
@@ -159,8 +187,9 @@ JsonValue WireRoundTrip(int tenants) {
     scratch = protocol::ToJson(response).Dump();
   };
   const long long iters = Calibrate(0.05, fast);
-  const double fast_s = MeasureSeconds(iters, fast);
-  const double tree_s = MeasureSeconds(iters, slow);
+  const auto [fast_s, tree_s] =
+      Alternate([&](int) { return TimeSeconds(iters, fast); },
+                [&](int) { return TimeSeconds(iters, slow); });
 
   JsonValue entry = JsonValue::MakeObject();
   entry.Set("kind", JsonValue::Str(kind));
@@ -175,13 +204,11 @@ JsonValue WireRoundTrip(int tenants) {
 // -- Batch frames vs blocking round trips -----------------------------------
 
 /// One tenancy per timed rep, one open period, then 512 single-tenant
-/// submits sent as blocking round trips and as batch frames of 32. Each
-/// mode keeps its best of 3 reps, so the ratio compares best-case
-/// transport cost.
+/// submits sent as blocking round trips and as batch frames of 32, the
+/// two modes alternating.
 JsonValue BatchFrames() {
   constexpr int kRequests = 512;
   constexpr int kFrame = 32;
-  constexpr int kReps = 3;
   MarketplaceServer server(Workers(2));
   service::NetServer net(&server, service::NetServerOptions{});
   if (Status started = net.Start(); !started.ok()) {
@@ -230,22 +257,18 @@ JsonValue BatchFrames() {
     return request;
   };
 
-  double roundtrip_ms = 0.0;
   service::NetClient roundtrip_client = connect();
-  for (int rep = 0; rep < kReps; ++rep) {
+  service::NetClient batch_client = connect();
+  const auto roundtrips = [&](int rep) {
     const std::string tenancy = "batch-roundtrip-" + std::to_string(rep);
     open_tenancy(roundtrip_client, tenancy);
     const auto start = Clock::now();
     for (int i = 0; i < kRequests; ++i) {
       call(roundtrip_client, submit(tenancy));
     }
-    const double ms = ElapsedMs(start);
-    if (rep == 0 || ms < roundtrip_ms) roundtrip_ms = ms;
-  }
-
-  double batch_ms = 0.0;
-  service::NetClient batch_client = connect();
-  for (int rep = 0; rep < kReps; ++rep) {
+    return ElapsedMs(start);
+  };
+  const auto frames = [&](int rep) {
     const std::string tenancy = "batch-framed-" + std::to_string(rep);
     open_tenancy(batch_client, tenancy);
     const auto start = Clock::now();
@@ -263,9 +286,9 @@ JsonValue BatchFrames() {
         Die("batch answered the wrong member count");
       }
     }
-    const double ms = ElapsedMs(start);
-    if (rep == 0 || ms < batch_ms) batch_ms = ms;
-  }
+    return ElapsedMs(start);
+  };
+  const auto [roundtrip_ms, batch_ms] = Alternate(roundtrips, frames);
   net.Stop();
 
   JsonValue batch = JsonValue::MakeObject();
@@ -440,23 +463,22 @@ JsonValue JournalOverhead() {
   auto scenario = simdb::TelemetryScenario(kFleetTenants, 12);
   if (!scenario.ok()) Die("scenario: " + scenario.status().ToString());
   const std::string data_dir = "serving_gates_data";
-  if (!fs::RemoveAll(data_dir).ok()) Die("cannot clear " + data_dir);
 
-  double memory_ms = 0.0;
-  {
+  const auto memory = [&](int) {
     MarketplaceServer server(Workers(kWorkers));
-    memory_ms = DriveFleet(server, scenario->tenants);
-  }
-  double file_ms = 0.0;
-  {
+    return DriveFleet(server, scenario->tenants);
+  };
+  const auto file = [&](int) {
+    if (!fs::RemoveAll(data_dir).ok()) Die("cannot clear " + data_dir);
     auto store = service::FileStateStore::Open(data_dir);
     if (!store.ok()) Die(store.status().ToString());
     ServerOptions options;
     options.num_workers = kWorkers;
     options.store = std::move(*store);
     MarketplaceServer server(std::move(options));
-    file_ms = DriveFleet(server, scenario->tenants);
-  }
+    return DriveFleet(server, scenario->tenants);
+  };
+  const auto [memory_ms, file_ms] = Alternate(memory, file);
   (void)fs::RemoveAll(data_dir);
   std::cout << "journaled fleet: " << file_ms << " ms (memory " << memory_ms
             << " ms, overhead " << file_ms / memory_ms << "x)\n";

@@ -223,28 +223,19 @@ Response ClusterRouter::RouteBatch(const Request& request, Channel* channel) {
       auto it = tenancy_owner_.find(member.tenancy);
       if (it != tenancy_owner_.end()) recorded = it->second;
     }
-    if (!owner.has_value()) {
-      member_error(i, Status::Unavailable(
-                          "no live node owns tenancy \"" + member.tenancy +
-                          "\" (placement v" +
-                          std::to_string(CurrentPlacement().version()) +
-                          "); resend to retry"));
-      continue;
-    }
     // Same lazy re-home as the single-request path: the recorded server
     // changed under us, so activate the warm replica before forwarding.
-    if (!recorded.empty() && recorded != owner->id) {
+    bool rehome_failed = false;
+    if (owner.has_value() && !recorded.empty() && recorded != owner->id) {
       auto [it, fresh] = rehomed.try_emplace(member.tenancy, Status::OK());
       if (fresh) it->second = RestoreOn(*owner, member.tenancy, channel);
-      if (!it->second.ok()) {
-        member_error(i, Status::Unavailable(
-                            "failover restore on node " + owner->id +
-                            " failed: " + it->second.message() +
-                            " (placement v" +
-                            std::to_string(CurrentPlacement().version()) +
-                            "); resend to retry"));
-        continue;
-      }
+      rehome_failed = !it->second.ok();
+    }
+    // No live owner, or a failed re-home: the member answers what it
+    // answers sent alone — a mutation's error, a report's stale fallback.
+    if (!owner.has_value() || rehome_failed) {
+      docs[i] = service::protocol::ToJson(Route(member, channel));
+      continue;
     }
     auto [it, fresh] = group_of_node.try_emplace(owner->id, groups.size());
     if (fresh) groups.push_back(Group{*owner, {}});

@@ -134,9 +134,11 @@ class ClusterRouter {
   Response RouteTenancyOp(const Request& request, Channel* channel);
   /// v3 batch frame: split members by owning node (preserving order),
   /// forward one sub-batch per node, reassemble the ordered response
-  /// array. A sub-batch transport failure marks its node dead and answers
-  /// those members Unavailable — batches may carry mutations, so the
-  /// router never silently re-forwards one.
+  /// array. A member whose tenancy has no live owner, or whose re-home
+  /// restore fails, routes alone and answers what a single send answers.
+  /// A sub-batch transport failure marks its node dead and answers those
+  /// members Unavailable — batches may carry mutations, so the router never
+  /// silently re-forwards one.
   Response RouteBatch(const Request& request, Channel* channel);
   Response RouteRestore(const Request& request, Channel* channel);
   Response RouteAnyNode(const Request& request, Channel* channel);

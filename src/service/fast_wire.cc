@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -14,6 +15,20 @@
 
 namespace optshare::service::protocol {
 namespace {
+
+/// The payload fields the scanner models. It takes an op only when it
+/// models every field the op allows — not the nested catalog/config, nor
+/// the cluster ops' opaque record/snapshot/placement — and the op's
+/// tenancy is required or forbidden, never optional. The tree parser
+/// handles every other op.
+constexpr uint32_t kScannedFields = field::kTenants | field::kTenant |
+                                    field::kSlots | field::kPeriod |
+                                    field::kRequests;
+
+constexpr bool Scanned(const OpSpec& spec) {
+  return spec.tenancy != TenancyRule::kOptional &&
+         (spec.allowed & ~kScannedFields) == 0;
+}
 
 // One-pass scanner over a request line. Every method returns false on the
 // first sign of anything it is not certain about; the caller then falls
@@ -54,10 +69,10 @@ class FastScanner {
   bool ScanRequestObject(Request* out, bool member) {
     if (!Consume('{')) return false;
     bool seen_v = false, seen_op = false, seen_id = false,
-         seen_tenancy = false, seen_tenants = false, seen_tenant = false,
-         seen_slots = false, seen_period = false, seen_requests = false;
+         seen_tenancy = false;
+    uint32_t seen = 0;  // field:: bits of the payload fields scanned.
     int version = 0;
-    RequestOp op = RequestOp::kListMechanisms;
+    const OpSpec* spec = nullptr;
     SkipWs();
     if (!Consume('}')) {
       while (true) {
@@ -81,26 +96,9 @@ class FastScanner {
           if (seen_op || !ScanStringInto(&op_name_)) return false;
           std::optional<RequestOp> parsed = RequestOpFromName(op_name_);
           if (!parsed) return false;
-          // open_period carries the nested CatalogSpec/ServiceConfig
-          // payloads this scanner does not model; likewise the cluster
-          // ops with required payloads (record / snapshot / placement)
-          // and restore/export, whose tenancy field is optional rather
-          // than forbidden. Inside a batch, the tree parser additionally
-          // rejects nested batches and shutdowns — bail so it owns those
-          // errors.
-          if (*parsed == RequestOp::kOpenPeriod ||
-              *parsed == RequestOp::kReplAppend ||
-              *parsed == RequestOp::kReplCheckpoint ||
-              *parsed == RequestOp::kClusterUpdate ||
-              *parsed == RequestOp::kRestore ||
-              *parsed == RequestOp::kExport) {
-            return false;
-          }
-          if (member && (*parsed == RequestOp::kBatch ||
-                         *parsed == RequestOp::kShutdown)) {
-            return false;
-          }
-          op = *parsed;
+          spec = &SpecOf(*parsed);
+          if (!Scanned(*spec)) return false;
+          if (member && (spec->flags & kBatchable) == 0) return false;
           seen_op = true;
         } else if (key == "id") {
           if (seen_id || !ScanStringInto(&out->id)) return false;
@@ -109,33 +107,33 @@ class FastScanner {
           if (seen_tenancy || !ScanStringInto(&out->tenancy)) return false;
           seen_tenancy = true;
         } else if (key == "tenants") {
-          if (seen_tenants || !ScanTenants(&out->tenants)) return false;
-          seen_tenants = true;
+          if (!Mark(field::kTenants, &seen) || !ScanTenants(&out->tenants)) {
+            return false;
+          }
         } else if (key == "tenant") {
           int tenant = 0;
-          if (seen_tenant || !ScanInt(&tenant)) return false;
+          if (!Mark(field::kTenant, &seen) || !ScanInt(&tenant)) return false;
           out->tenant = tenant;
-          seen_tenant = true;
         } else if (key == "slots") {
           int slots = 0;
-          if (seen_slots || !ScanInt(&slots)) return false;
+          if (!Mark(field::kSlots, &seen) || !ScanInt(&slots)) return false;
           if (slots < 1) return false;  // advance_slot rejects; others too.
           out->slots = slots;
-          seen_slots = true;
         } else if (key == "period") {
           int period = 0;
-          if (seen_period || !ScanInt(&period)) return false;
+          if (!Mark(field::kPeriod, &seen) || !ScanInt(&period)) return false;
           if (period < 1) return false;  // report rejects; others too.
           out->period = period;
-          seen_period = true;
         } else if (key == "requests" && !member) {
           // A batch's member array: each element is a full request
           // document; a non-batch op with this field bails below.
-          if (seen_requests || !ScanMembers(&out->requests)) return false;
-          seen_requests = true;
+          if (!Mark(field::kRequests, &seen) ||
+              !ScanMembers(&out->requests)) {
+            return false;
+          }
         } else {
-          // Unknown to the scanner: catalog/config (valid for open_period
-          // only) or a field the tree parser rejects. Either way, its call.
+          // Unknown to the scanner: a field it does not model or one the
+          // tree parser rejects. Either way, its call.
           return false;
         }
         SkipWs();
@@ -146,46 +144,24 @@ class FastScanner {
 
     // The tree parser's post-parse validation, as accept-only conditions.
     if (!seen_v || !seen_op) return false;
-    if (version < RequestOpMinVersion(op)) return false;
-    if (OpTakesTenancy(op)) {
-      if (!seen_tenancy || out->tenancy.empty()) return false;
-    } else if (seen_tenancy) {
+    if (version < spec->min_version) return false;
+    if (seen_tenancy != (spec->tenancy == TenancyRule::kRequired)) {
       return false;
     }
-    switch (op) {
-      case RequestOp::kSubmit:
-      case RequestOp::kQueryPrice:
-        if (!seen_tenants || seen_tenant || seen_slots || seen_period) {
-          return false;
-        }
-        break;
-      case RequestOp::kDepart:
-        if (!seen_tenant || seen_tenants || seen_slots || seen_period) {
-          return false;
-        }
-        break;
-      case RequestOp::kAdvanceSlot:
-        if (seen_tenants || seen_tenant || seen_period) return false;
-        break;
-      case RequestOp::kReport:
-        // "period" is optional here and nowhere else.
-        if (seen_tenants || seen_tenant || seen_slots) return false;
-        break;
-      case RequestOp::kBatch:
-        if (!seen_requests || seen_tenants || seen_tenant || seen_slots ||
-            seen_period) {
-          return false;
-        }
-        break;
-      default:
-        if (seen_tenants || seen_tenant || seen_slots || seen_period) {
-          return false;
-        }
-        break;
+    if (seen_tenancy && out->tenancy.empty()) return false;
+    if ((seen & ~spec->allowed) != 0 || (spec->required & ~seen) != 0) {
+      return false;
     }
-    if (seen_requests && op != RequestOp::kBatch) return false;
-    out->op = op;
+    out->op = spec->op;
     out->version = version;
+    return true;
+  }
+
+  /// Records one payload field as seen; false on a duplicate key (the tree
+  /// parser keeps the last value, so it must decide).
+  static bool Mark(uint32_t bit, uint32_t* seen) {
+    if ((*seen & bit) != 0) return false;
+    *seen |= bit;
     return true;
   }
 

@@ -17,15 +17,17 @@
 //   value; tests/service_wire_fast_test.cc and the fuzz battery pin this
 //   differentially over the full protocol surface.
 //
-// Ops scanned natively: submit, depart, advance_slot, close_period,
-// report, list_mechanisms, snapshot, restore, shutdown, server_info — the
-// high-volume request set — plus v3 batch frames whose members are all
-// themselves natively scannable (a batch carrying an open_period member
-// falls back whole-line, as does anything the tree parser would reject —
-// nested batches, shutdown members, empty member arrays). open_period
-// (once per billing period, and the only op with nested
-// CatalogSpec/ServiceConfig payloads) deliberately falls back to the tree
-// parser.
+// Which ops it scans follows from their rows in protocol::kOpSpecs: an op
+// whose tenancy is required or forbidden and whose payload fields are all
+// among tenants, tenant, slots, period and requests. That is the
+// high-volume request set (submit, depart, advance_slot, close_period,
+// report, query_price, ...) plus v3 batch frames whose members are all
+// themselves scannable (a batch carrying an open_period member falls back
+// whole-line, as does anything the tree parser would reject — nested
+// batches, shutdown members, empty member arrays). open_period (once per
+// billing period, with nested CatalogSpec/ServiceConfig payloads), the
+// cluster ops with opaque payloads, and restore/export (optional tenancy)
+// fall back to the tree parser.
 //
 // Steady-state cost: zero heap allocations for the fixed-size ops (the
 // Request's strings stay in SSO for typical tenancy/id names), and

@@ -18,6 +18,7 @@ namespace {
 
 using protocol::ErrorResponse;
 using protocol::OkResponse;
+using protocol::OpMutatesTenancy;
 using protocol::Request;
 using protocol::RequestOp;
 using protocol::Response;
@@ -47,21 +48,6 @@ Result<simdb::Catalog> BuildCatalog(const protocol::CatalogSpec& spec) {
     OPTSHARE_RETURN_NOT_OK(catalog.AddTable(table));
   }
   return catalog;
-}
-
-/// True for the ops that mutate tenancy state and therefore must be
-/// journaled before execution.
-bool OpMutatesTenancy(RequestOp op) {
-  switch (op) {
-    case RequestOp::kOpenPeriod:
-    case RequestOp::kSubmit:
-    case RequestOp::kDepart:
-    case RequestOp::kAdvanceSlot:
-    case RequestOp::kClosePeriod:
-      return true;
-    default:
-      return false;
-  }
 }
 
 /// True when a batch member is safe to cover with one atomic group journal

@@ -110,94 +110,11 @@ std::optional<simdb::ColumnType> ColumnTypeFromName(std::string_view name) {
 
 // -- Op tags ----------------------------------------------------------------
 
-std::string_view RequestOpName(RequestOp op) {
-  switch (op) {
-    case RequestOp::kOpenPeriod:
-      return "open_period";
-    case RequestOp::kSubmit:
-      return "submit";
-    case RequestOp::kDepart:
-      return "depart";
-    case RequestOp::kAdvanceSlot:
-      return "advance_slot";
-    case RequestOp::kClosePeriod:
-      return "close_period";
-    case RequestOp::kReport:
-      return "report";
-    case RequestOp::kListMechanisms:
-      return "list_mechanisms";
-    case RequestOp::kSnapshot:
-      return "snapshot";
-    case RequestOp::kRestore:
-      return "restore";
-    case RequestOp::kShutdown:
-      return "shutdown";
-    case RequestOp::kServerInfo:
-      return "server_info";
-    case RequestOp::kReplAppend:
-      return "repl_append";
-    case RequestOp::kReplCheckpoint:
-      return "repl_checkpoint";
-    case RequestOp::kReplSync:
-      return "repl_sync";
-    case RequestOp::kTenancyState:
-      return "tenancy_state";
-    case RequestOp::kEvict:
-      return "evict";
-    case RequestOp::kClusterUpdate:
-      return "cluster_update";
-    case RequestOp::kQueryPrice:
-      return "query_price";
-    case RequestOp::kExport:
-      return "export";
-    case RequestOp::kBatch:
-      return "batch";
-  }
-  return "list_mechanisms";
-}
-
 std::optional<RequestOp> RequestOpFromName(std::string_view name) {
-  for (RequestOp op : kAllRequestOps) {
-    if (RequestOpName(op) == name) return op;
+  for (const OpSpec& spec : kOpSpecs) {
+    if (name == spec.name) return spec.op;
   }
   return std::nullopt;
-}
-
-int RequestOpMinVersion(RequestOp op) {
-  switch (op) {
-    case RequestOp::kSnapshot:
-    case RequestOp::kRestore:
-    case RequestOp::kShutdown:
-    case RequestOp::kServerInfo:
-    case RequestOp::kReplAppend:
-    case RequestOp::kReplCheckpoint:
-    case RequestOp::kReplSync:
-    case RequestOp::kTenancyState:
-    case RequestOp::kEvict:
-    case RequestOp::kClusterUpdate:
-    case RequestOp::kQueryPrice:
-    case RequestOp::kExport:
-      return 2;
-    case RequestOp::kBatch:
-      return 3;
-    default:
-      return 1;
-  }
-}
-
-bool OpTakesTenancy(RequestOp op) {
-  switch (op) {
-    case RequestOp::kListMechanisms:
-    case RequestOp::kRestore:
-    case RequestOp::kShutdown:
-    case RequestOp::kServerInfo:
-    case RequestOp::kClusterUpdate:
-    case RequestOp::kExport:  // Optional tenancy, like restore.
-    case RequestOp::kBatch:   // Members carry their own tenancies.
-      return false;
-    default:
-      return true;
-  }
 }
 
 // -- Leaf serializers -------------------------------------------------------
@@ -688,77 +605,207 @@ Result<PeriodReport> PeriodReportFromJson(const JsonValue& v) {
 
 // -- Requests ---------------------------------------------------------------
 
+namespace {
+
+Status FieldMustBe(const char* ctx, const char* key, const char* type) {
+  return Status::InvalidArgument(std::string(ctx) + ": field \"" + key +
+                                 "\" must be " + type);
+}
+
+Status GetPositiveInt(const JsonValue& v, const char* key, const char* ctx,
+                      int* out) {
+  Result<int> number = GetInt(v, key, ctx);
+  if (!number.ok()) return number.status();
+  if (*number < 1) {
+    return Status::InvalidArgument(std::string(ctx) + ": \"" + key +
+                                   "\" must be >= 1");
+  }
+  *out = *number;
+  return Status::OK();
+}
+
+/// How one payload field (a field:: bit of protocol.h) is read and written.
+/// `parse` runs when the field is present, and also when it is absent but
+/// required, so a missing field reads as a mistyped one; `ctx` is the
+/// op's error prefix. `emit` adds the field when the request carries it.
+struct FieldCodec {
+  uint32_t bit;
+  const char* key;
+  Status (*parse)(const JsonValue& doc, const char* key, const char* ctx,
+                  Request* out);
+  void (*emit)(const Request& request, const char* key, JsonValue* obj);
+};
+
+// RequestFromJson parses a document's fields in this order, so of two bad
+// fields the first one's error is the answer.
+const FieldCodec kFieldCodecs[] = {
+    {field::kCatalog, "catalog",
+     [](const JsonValue& doc, const char* key, const char*, Request* out) {
+       Result<CatalogSpec> spec = CatalogSpecFromJson(*doc.Find(key));
+       if (spec.ok()) out->catalog = std::move(*spec);
+       return spec.status();
+     },
+     [](const Request& request, const char* key, JsonValue* obj) {
+       if (request.catalog) obj->Set(key, ToJson(*request.catalog));
+     }},
+    {field::kConfig, "config",
+     [](const JsonValue& doc, const char* key, const char*, Request* out) {
+       Result<ServiceConfig> config = ServiceConfigFromJson(*doc.Find(key));
+       if (config.ok()) out->config = std::move(*config);
+       return config.status();
+     },
+     [](const Request& request, const char* key, JsonValue* obj) {
+       if (request.config) obj->Set(key, ToJson(*request.config));
+     }},
+    {field::kTenants, "tenants",
+     [](const JsonValue& doc, const char* key, const char* ctx, Request* out) {
+       const JsonValue* tenants = doc.Find(key);
+       if (tenants == nullptr || !tenants->is_array()) {
+         return FieldMustBe(ctx, key, "an array");
+       }
+       for (const JsonValue& tenant_v : tenants->AsArray()) {
+         Result<simdb::SimUser> tenant = SimUserFromJson(tenant_v);
+         if (!tenant.ok()) return tenant.status();
+         out->tenants.push_back(std::move(*tenant));
+       }
+       return Status::OK();
+     },
+     [](const Request& request, const char* key, JsonValue* obj) {
+       JsonValue tenants = JsonValue::MakeArray();
+       tenants.Reserve(request.tenants.size());
+       for (const simdb::SimUser& tenant : request.tenants) {
+         tenants.Append(ToJson(tenant));
+       }
+       obj->Set(key, std::move(tenants));
+     }},
+    {field::kTenant, "tenant",
+     [](const JsonValue& doc, const char* key, const char* ctx, Request* out) {
+       Result<int> tenant = GetInt(doc, key, ctx);
+       if (tenant.ok()) out->tenant = *tenant;
+       return tenant.status();
+     },
+     [](const Request& request, const char* key, JsonValue* obj) {
+       obj->Set(key, JsonValue::Number(request.tenant));
+     }},
+    {field::kSlots, "slots",
+     [](const JsonValue& doc, const char* key, const char* ctx, Request* out) {
+       return GetPositiveInt(doc, key, ctx, &out->slots);
+     },
+     [](const Request& request, const char* key, JsonValue* obj) {
+       obj->Set(key, JsonValue::Number(request.slots));
+     }},
+    {field::kPeriod, "period",
+     [](const JsonValue& doc, const char* key, const char* ctx, Request* out) {
+       return GetPositiveInt(doc, key, ctx, &out->period);
+     },
+     [](const Request& request, const char* key, JsonValue* obj) {
+       // 0 = the live report; the field is elided so v1 documents stay
+       // byte-identical to what they always were.
+       if (request.period > 0) {
+         obj->Set(key, JsonValue::Number(request.period));
+       }
+     }},
+    {field::kRecord, "record",
+     [](const JsonValue& doc, const char* key, const char* ctx, Request* out) {
+       Result<std::string> record = GetString(doc, key, ctx);
+       if (record.ok()) out->record = std::move(*record);
+       return record.status();
+     },
+     [](const Request& request, const char* key, JsonValue* obj) {
+       obj->Set(key, JsonValue::Str(request.record));
+     }},
+    {field::kSnapshot, "snapshot",
+     [](const JsonValue& doc, const char* key, const char* ctx, Request* out) {
+       const JsonValue* snapshot = doc.Find(key);
+       if (snapshot == nullptr || !snapshot->is_object()) {
+         return FieldMustBe(ctx, key, "an object");
+       }
+       out->snapshot = *snapshot;
+       return Status::OK();
+     },
+     [](const Request& request, const char* key, JsonValue* obj) {
+       if (request.snapshot) obj->Set(key, *request.snapshot);
+     }},
+    {field::kPlacement, "placement",
+     [](const JsonValue& doc, const char* key, const char* ctx, Request* out) {
+       const JsonValue* placement = doc.Find(key);
+       if (placement == nullptr || !placement->is_object()) {
+         return FieldMustBe(ctx, key, "an object");
+       }
+       out->placement = *placement;
+       return Status::OK();
+     },
+     [](const Request& request, const char* key, JsonValue* obj) {
+       if (request.placement) obj->Set(key, *request.placement);
+     }},
+    {field::kRequests, "requests",
+     [](const JsonValue& doc, const char* key, const char* ctx, Request* out) {
+       const JsonValue* members = doc.Find(key);
+       if (members == nullptr || !members->is_array()) {
+         return FieldMustBe(ctx, key, "an array");
+       }
+       if (members->AsArray().empty()) {
+         return Status::InvalidArgument(std::string(ctx) +
+                                        ": \"requests\" must be non-empty");
+       }
+       out->requests.reserve(members->AsArray().size());
+       for (const JsonValue& member_v : members->AsArray()) {
+         Result<Request> member = RequestFromJson(member_v);
+         if (!member.ok()) return member.status();
+         if ((SpecOf(member->op).flags & kBatchable) == 0) {
+           return Status::InvalidArgument(
+               std::string(ctx) +
+               (member->op == RequestOp::kBatch
+                    ? ": members may not themselves be batches"
+                    : ": members may not be " +
+                          std::string(RequestOpName(member->op)) + "s"));
+         }
+         out->requests.push_back(std::move(*member));
+       }
+       return Status::OK();
+     },
+     [](const Request& request, const char* key, JsonValue* obj) {
+       JsonValue members = JsonValue::MakeArray();
+       members.Reserve(request.requests.size());
+       for (const Request& member : request.requests) {
+         members.Append(ToJson(member));
+       }
+       obj->Set(key, std::move(members));
+     }},
+};
+
+/// The strict unknown-field check of a request document: "v", "op", "id",
+/// "tenancy" unless the op's rule forbids it, and the op's payload fields.
+Status CheckRequestFields(const JsonValue& v, const OpSpec& spec,
+                          const char* ctx) {
+  for (const auto& [key, value] : v.AsObject()) {
+    bool known = key == "v" || key == "op" || key == "id" ||
+                 (key == "tenancy" && spec.tenancy != TenancyRule::kNone);
+    for (const FieldCodec& codec : kFieldCodecs) {
+      known = known || ((spec.allowed & codec.bit) != 0 && key == codec.key);
+    }
+    if (!known) {
+      return Status::InvalidArgument(std::string(ctx) + ": unknown field \"" +
+                                     key + "\"");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 JsonValue ToJson(const Request& request) {
+  const OpSpec& spec = SpecOf(request.op);
   JsonValue obj = JsonValue::MakeObject();
   obj.Set("v", JsonValue::Number(request.version));
-  obj.Set("op", JsonValue::Str(std::string(RequestOpName(request.op))));
+  obj.Set("op", JsonValue::Str(std::string(spec.name)));
   if (!request.id.empty()) obj.Set("id", JsonValue::Str(request.id));
-  if (OpTakesTenancy(request.op)) {
+  if (spec.tenancy == TenancyRule::kRequired ||
+      (spec.tenancy == TenancyRule::kOptional && !request.tenancy.empty())) {
     obj.Set("tenancy", JsonValue::Str(request.tenancy));
   }
-  switch (request.op) {
-    case RequestOp::kOpenPeriod:
-      if (request.catalog) obj.Set("catalog", ToJson(*request.catalog));
-      if (request.config) obj.Set("config", ToJson(*request.config));
-      break;
-    case RequestOp::kSubmit:
-    case RequestOp::kQueryPrice: {
-      JsonValue tenants = JsonValue::MakeArray();
-      tenants.Reserve(request.tenants.size());
-      for (const simdb::SimUser& tenant : request.tenants) {
-        tenants.Append(ToJson(tenant));
-      }
-      obj.Set("tenants", std::move(tenants));
-      break;
-    }
-    case RequestOp::kDepart:
-      obj.Set("tenant", JsonValue::Number(request.tenant));
-      break;
-    case RequestOp::kAdvanceSlot:
-      obj.Set("slots", JsonValue::Number(request.slots));
-      break;
-    case RequestOp::kReplAppend:
-      obj.Set("record", JsonValue::Str(request.record));
-      break;
-    case RequestOp::kReplCheckpoint:
-      if (request.snapshot) obj.Set("snapshot", *request.snapshot);
-      break;
-    case RequestOp::kClusterUpdate:
-      if (request.placement) obj.Set("placement", *request.placement);
-      break;
-    case RequestOp::kBatch: {
-      JsonValue members = JsonValue::MakeArray();
-      members.Reserve(request.requests.size());
-      for (const Request& member : request.requests) {
-        members.Append(ToJson(member));
-      }
-      obj.Set("requests", std::move(members));
-      break;
-    }
-    case RequestOp::kRestore:
-    case RequestOp::kExport:
-      // The tenancy filter is optional on restore/export (OpTakesTenancy is
-      // false, so the generic path above skipped it).
-      if (!request.tenancy.empty()) {
-        obj.Set("tenancy", JsonValue::Str(request.tenancy));
-      }
-      break;
-    case RequestOp::kReport:
-      // 0 = the live report; the field is elided so v1 documents stay
-      // byte-identical to what they always were.
-      if (request.period > 0) {
-        obj.Set("period", JsonValue::Number(request.period));
-      }
-      break;
-    case RequestOp::kClosePeriod:
-    case RequestOp::kListMechanisms:
-    case RequestOp::kSnapshot:
-    case RequestOp::kShutdown:
-    case RequestOp::kServerInfo:
-    case RequestOp::kReplSync:
-    case RequestOp::kTenancyState:
-    case RequestOp::kEvict:
-      break;
+  for (const FieldCodec& codec : kFieldCodecs) {
+    if ((spec.allowed & codec.bit) != 0) codec.emit(request, codec.key, &obj);
   }
   return obj;
 }
@@ -774,10 +821,11 @@ Result<Request> RequestFromJson(const JsonValue& v) {
     return Status::InvalidArgument("request: unknown op \"" + *op_name +
                                    "\"");
   }
-  if (*version < RequestOpMinVersion(*op)) {
-    return Status::InvalidArgument(
-        "request: op \"" + *op_name + "\" requires protocol version " +
-        std::to_string(RequestOpMinVersion(*op)));
+  const OpSpec& spec = SpecOf(*op);
+  if (*version < spec.min_version) {
+    return Status::InvalidArgument("request: op \"" + *op_name +
+                                   "\" requires protocol version " +
+                                   std::to_string(spec.min_version));
   }
   Request request;
   request.op = *op;
@@ -787,7 +835,7 @@ Result<Request> RequestFromJson(const JsonValue& v) {
     if (!id.ok()) return id.status();
     request.id = std::move(*id);
   }
-  if (OpTakesTenancy(request.op)) {
+  if (spec.tenancy == TenancyRule::kRequired) {
     Result<std::string> tenancy = GetString(v, "tenancy", "request");
     if (!tenancy.ok()) return tenancy.status();
     if (tenancy->empty()) {
@@ -795,164 +843,28 @@ Result<Request> RequestFromJson(const JsonValue& v) {
     }
     request.tenancy = std::move(*tenancy);
   }
-  switch (request.op) {
-    case RequestOp::kOpenPeriod: {
-      OPTSHARE_RETURN_NOT_OK(CheckFields(
-          v, {"v", "op", "id", "tenancy", "catalog", "config"},
-          "open_period"));
-      if (const JsonValue* catalog = v.Find("catalog")) {
-        Result<CatalogSpec> spec = CatalogSpecFromJson(*catalog);
-        if (!spec.ok()) return spec.status();
-        request.catalog = std::move(*spec);
-      }
-      if (const JsonValue* config = v.Find("config")) {
-        Result<ServiceConfig> parsed = ServiceConfigFromJson(*config);
-        if (!parsed.ok()) return parsed.status();
-        request.config = std::move(*parsed);
-      }
-      break;
+  // Errors about an op's own fields name the op; an op with none (not even
+  // an optional tenancy) names the request.
+  const char* ctx =
+      spec.allowed != 0 || spec.tenancy == TenancyRule::kOptional
+          ? spec.name.data()
+          : "request";
+  OPTSHARE_RETURN_NOT_OK(CheckRequestFields(v, spec, ctx));
+  if (spec.tenancy == TenancyRule::kOptional && v.Find("tenancy") != nullptr) {
+    Result<std::string> tenancy = GetString(v, "tenancy", ctx);
+    if (!tenancy.ok()) return tenancy.status();
+    if (tenancy->empty()) {
+      return Status::InvalidArgument(
+          std::string(ctx) + ": \"tenancy\" must be non-empty when present");
     }
-    case RequestOp::kSubmit:
-    case RequestOp::kQueryPrice: {
-      const char* ctx =
-          request.op == RequestOp::kSubmit ? "submit" : "query_price";
-      OPTSHARE_RETURN_NOT_OK(
-          CheckFields(v, {"v", "op", "id", "tenancy", "tenants"}, ctx));
-      const JsonValue* tenants = v.Find("tenants");
-      if (tenants == nullptr || !tenants->is_array()) {
-        return Status::InvalidArgument(std::string(ctx) +
-                                       ": field \"tenants\" must be an array");
-      }
-      for (const JsonValue& tenant_v : tenants->AsArray()) {
-        Result<simdb::SimUser> tenant = SimUserFromJson(tenant_v);
-        if (!tenant.ok()) return tenant.status();
-        request.tenants.push_back(std::move(*tenant));
-      }
-      break;
+    request.tenancy = std::move(*tenancy);
+  }
+  for (const FieldCodec& codec : kFieldCodecs) {
+    if ((spec.allowed & codec.bit) == 0) continue;
+    if ((spec.required & codec.bit) == 0 && v.Find(codec.key) == nullptr) {
+      continue;
     }
-    case RequestOp::kDepart: {
-      OPTSHARE_RETURN_NOT_OK(
-          CheckFields(v, {"v", "op", "id", "tenancy", "tenant"}, "depart"));
-      Result<int> tenant = GetInt(v, "tenant", "depart");
-      if (!tenant.ok()) return tenant.status();
-      request.tenant = *tenant;
-      break;
-    }
-    case RequestOp::kAdvanceSlot: {
-      OPTSHARE_RETURN_NOT_OK(CheckFields(
-          v, {"v", "op", "id", "tenancy", "slots"}, "advance_slot"));
-      if (v.Find("slots") != nullptr) {
-        Result<int> slots = GetInt(v, "slots", "advance_slot");
-        if (!slots.ok()) return slots.status();
-        if (*slots < 1) {
-          return Status::InvalidArgument(
-              "advance_slot: \"slots\" must be >= 1");
-        }
-        request.slots = *slots;
-      }
-      break;
-    }
-    case RequestOp::kReplAppend: {
-      OPTSHARE_RETURN_NOT_OK(CheckFields(
-          v, {"v", "op", "id", "tenancy", "record"}, "repl_append"));
-      Result<std::string> record = GetString(v, "record", "repl_append");
-      if (!record.ok()) return record.status();
-      request.record = std::move(*record);
-      break;
-    }
-    case RequestOp::kReplCheckpoint: {
-      OPTSHARE_RETURN_NOT_OK(CheckFields(
-          v, {"v", "op", "id", "tenancy", "snapshot"}, "repl_checkpoint"));
-      const JsonValue* snapshot = v.Find("snapshot");
-      if (snapshot == nullptr || !snapshot->is_object()) {
-        return Status::InvalidArgument(
-            "repl_checkpoint: field \"snapshot\" must be an object");
-      }
-      request.snapshot = *snapshot;
-      break;
-    }
-    case RequestOp::kClusterUpdate: {
-      OPTSHARE_RETURN_NOT_OK(CheckFields(
-          v, {"v", "op", "id", "placement"}, "cluster_update"));
-      const JsonValue* placement = v.Find("placement");
-      if (placement == nullptr || !placement->is_object()) {
-        return Status::InvalidArgument(
-            "cluster_update: field \"placement\" must be an object");
-      }
-      request.placement = *placement;
-      break;
-    }
-    case RequestOp::kRestore:
-    case RequestOp::kExport: {
-      const char* ctx =
-          request.op == RequestOp::kRestore ? "restore" : "export";
-      OPTSHARE_RETURN_NOT_OK(
-          CheckFields(v, {"v", "op", "id", "tenancy"}, ctx));
-      if (v.Find("tenancy") != nullptr) {
-        Result<std::string> tenancy = GetString(v, "tenancy", ctx);
-        if (!tenancy.ok()) return tenancy.status();
-        if (tenancy->empty()) {
-          return Status::InvalidArgument(
-              std::string(ctx) + ": \"tenancy\" must be non-empty when present");
-        }
-        request.tenancy = std::move(*tenancy);
-      }
-      break;
-    }
-    case RequestOp::kReport:
-      OPTSHARE_RETURN_NOT_OK(
-          CheckFields(v, {"v", "op", "id", "tenancy", "period"}, "report"));
-      if (v.Find("period") != nullptr) {
-        Result<int> period = GetInt(v, "period", "report");
-        if (!period.ok()) return period.status();
-        if (*period < 1) {
-          return Status::InvalidArgument("report: \"period\" must be >= 1");
-        }
-        request.period = *period;
-      }
-      break;
-    case RequestOp::kClosePeriod:
-    case RequestOp::kSnapshot:
-    case RequestOp::kReplSync:
-    case RequestOp::kTenancyState:
-    case RequestOp::kEvict:
-      OPTSHARE_RETURN_NOT_OK(
-          CheckFields(v, {"v", "op", "id", "tenancy"}, "request"));
-      break;
-    case RequestOp::kBatch: {
-      OPTSHARE_RETURN_NOT_OK(
-          CheckFields(v, {"v", "op", "id", "requests"}, "batch"));
-      const JsonValue* members = v.Find("requests");
-      if (members == nullptr || !members->is_array()) {
-        return Status::InvalidArgument(
-            "batch: field \"requests\" must be an array");
-      }
-      if (members->AsArray().empty()) {
-        return Status::InvalidArgument(
-            "batch: \"requests\" must be non-empty");
-      }
-      request.requests.reserve(members->AsArray().size());
-      for (const JsonValue& member_v : members->AsArray()) {
-        Result<Request> member = RequestFromJson(member_v);
-        if (!member.ok()) return member.status();
-        if (member->op == RequestOp::kBatch) {
-          return Status::InvalidArgument(
-              "batch: members may not themselves be batches");
-        }
-        if (member->op == RequestOp::kShutdown) {
-          return Status::InvalidArgument(
-              "batch: members may not be shutdowns");
-        }
-        request.requests.push_back(std::move(*member));
-      }
-      break;
-    }
-    case RequestOp::kListMechanisms:
-    case RequestOp::kShutdown:
-    case RequestOp::kServerInfo:
-      OPTSHARE_RETURN_NOT_OK(
-          CheckFields(v, {"v", "op", "id"}, "request"));
-      break;
+    OPTSHARE_RETURN_NOT_OK(codec.parse(v, codec.key, ctx, &request));
   }
   return request;
 }

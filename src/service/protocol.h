@@ -61,8 +61,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.h"
@@ -139,17 +141,130 @@ inline constexpr RequestOp kAllRequestOps[] = {
 inline constexpr size_t kNumRequestOps =
     sizeof(kAllRequestOps) / sizeof(kAllRequestOps[0]);
 
+// -- The op schema ----------------------------------------------------------
+
+/// How an op treats the "tenancy" field.
+enum class TenancyRule : uint8_t {
+  kRequired,  ///< Addressed to one tenancy: a non-empty name is required.
+  kOptional,  ///< A global op that may be narrowed to one tenancy.
+  kNone,      ///< A global op: the field is rejected.
+};
+
+/// The payload fields a request may carry beyond "v", "op", "id" and
+/// "tenancy", as bits of an OpSpec mask.
+namespace field {
+inline constexpr uint32_t kCatalog = 1u << 0;    ///< CatalogSpec object.
+inline constexpr uint32_t kConfig = 1u << 1;     ///< ServiceConfig object.
+inline constexpr uint32_t kTenants = 1u << 2;    ///< Array of SimUser.
+inline constexpr uint32_t kTenant = 1u << 3;     ///< Roster id.
+inline constexpr uint32_t kSlots = 1u << 4;      ///< >= 1, default 1.
+inline constexpr uint32_t kPeriod = 1u << 5;     ///< >= 1, absent = live.
+inline constexpr uint32_t kRecord = 1u << 6;     ///< Journal line, verbatim.
+inline constexpr uint32_t kSnapshot = 1u << 7;   ///< Opaque object.
+inline constexpr uint32_t kPlacement = 1u << 8;  ///< Opaque object.
+inline constexpr uint32_t kRequests = 1u << 9;   ///< Array of requests.
+}  // namespace field
+
+/// OpSpec::flags: the op mutates tenancy state, so it is journaled before
+/// it runs and charged to the tenancy's admission bucket.
+inline constexpr uint8_t kJournaled = 1u << 0;
+/// OpSpec::flags: the op may be a member of a v3 batch frame.
+inline constexpr uint8_t kBatchable = 1u << 1;
+
+/// One op's wire schema. This table is the only place an op's name,
+/// version, tenancy rule, fields and serving class are written down: the
+/// tree parser (RequestFromJson), the serializer (ToJson(Request)), the
+/// single-pass scanner (service/fast_wire.h) and the server read these
+/// rows.
+struct OpSpec {
+  RequestOp op;
+  std::string_view name;  ///< Wire tag; a literal, so NUL-terminated.
+  int min_version;        ///< Lowest protocol version that may carry it.
+  TenancyRule tenancy;
+  uint32_t allowed;   ///< field:: bits the document may carry.
+  uint32_t required;  ///< field:: bits it must carry (within `allowed`).
+  uint8_t flags;      ///< kJournaled | kBatchable.
+};
+
+inline constexpr OpSpec kOpSpecs[] = {
+    // {op, wire name, min version, tenancy rule,
+    //  allowed fields, required fields, flags}
+    {RequestOp::kOpenPeriod, "open_period", 1, TenancyRule::kRequired,
+     field::kCatalog | field::kConfig, 0, kJournaled | kBatchable},
+    {RequestOp::kSubmit, "submit", 1, TenancyRule::kRequired,
+     field::kTenants, field::kTenants, kJournaled | kBatchable},
+    {RequestOp::kDepart, "depart", 1, TenancyRule::kRequired,
+     field::kTenant, field::kTenant, kJournaled | kBatchable},
+    {RequestOp::kAdvanceSlot, "advance_slot", 1, TenancyRule::kRequired,
+     field::kSlots, 0, kJournaled | kBatchable},
+    {RequestOp::kClosePeriod, "close_period", 1, TenancyRule::kRequired,
+     0, 0, kJournaled | kBatchable},
+    {RequestOp::kReport, "report", 1, TenancyRule::kRequired,
+     field::kPeriod, 0, kBatchable},
+    {RequestOp::kListMechanisms, "list_mechanisms", 1, TenancyRule::kNone,
+     0, 0, kBatchable},
+    {RequestOp::kSnapshot, "snapshot", 2, TenancyRule::kRequired,
+     0, 0, kBatchable},
+    {RequestOp::kRestore, "restore", 2, TenancyRule::kOptional,
+     0, 0, kBatchable},
+    {RequestOp::kShutdown, "shutdown", 2, TenancyRule::kNone,
+     0, 0, 0},
+    {RequestOp::kServerInfo, "server_info", 2, TenancyRule::kNone,
+     0, 0, kBatchable},
+    {RequestOp::kReplAppend, "repl_append", 2, TenancyRule::kRequired,
+     field::kRecord, field::kRecord, kBatchable},
+    {RequestOp::kReplCheckpoint, "repl_checkpoint", 2, TenancyRule::kRequired,
+     field::kSnapshot, field::kSnapshot, kBatchable},
+    {RequestOp::kReplSync, "repl_sync", 2, TenancyRule::kRequired,
+     0, 0, kBatchable},
+    {RequestOp::kTenancyState, "tenancy_state", 2, TenancyRule::kRequired,
+     0, 0, kBatchable},
+    {RequestOp::kEvict, "evict", 2, TenancyRule::kRequired,
+     0, 0, kBatchable},
+    {RequestOp::kClusterUpdate, "cluster_update", 2, TenancyRule::kNone,
+     field::kPlacement, field::kPlacement, kBatchable},
+    {RequestOp::kQueryPrice, "query_price", 2, TenancyRule::kRequired,
+     field::kTenants, field::kTenants, kBatchable},
+    {RequestOp::kExport, "export", 2, TenancyRule::kOptional,
+     0, 0, kBatchable},
+    {RequestOp::kBatch, "batch", 3, TenancyRule::kNone,
+     field::kRequests, field::kRequests, 0},
+};
+
+constexpr bool OpSpecsAreWellFormed() {
+  if (sizeof(kOpSpecs) / sizeof(kOpSpecs[0]) != kNumRequestOps) return false;
+  for (size_t i = 0; i < kNumRequestOps; ++i) {
+    if (kOpSpecs[i].op != kAllRequestOps[i]) return false;
+    if ((kOpSpecs[i].required & ~kOpSpecs[i].allowed) != 0) return false;
+  }
+  return true;
+}
+static_assert(OpSpecsAreWellFormed(),
+              "one kOpSpecs row per RequestOp, in enum order, with its "
+              "required fields among its allowed ones");
+
+inline const OpSpec& SpecOf(RequestOp op) {
+  return kOpSpecs[static_cast<size_t>(op)];
+}
+
 /// Wire tag of an op ("open_period", ...).
-std::string_view RequestOpName(RequestOp op);
+inline std::string_view RequestOpName(RequestOp op) { return SpecOf(op).name; }
 /// Inverse of RequestOpName; nullopt for unknown tags.
 std::optional<RequestOp> RequestOpFromName(std::string_view name);
-/// Lowest protocol version whose documents may carry `op` (1 for the
-/// original op set, 2 for the durability ops).
-int RequestOpMinVersion(RequestOp op);
+/// Lowest protocol version whose documents may carry `op`.
+inline int RequestOpMinVersion(RequestOp op) {
+  return SpecOf(op).min_version;
+}
 /// True for ops addressed to one tenancy (the "tenancy" field is
-/// required); false for the global ops (list_mechanisms, restore,
-/// shutdown, server_info).
-bool OpTakesTenancy(RequestOp op);
+/// required).
+inline bool OpTakesTenancy(RequestOp op) {
+  return SpecOf(op).tenancy == TenancyRule::kRequired;
+}
+/// True for the ops that mutate tenancy state and are therefore journaled
+/// before execution.
+inline bool OpMutatesTenancy(RequestOp op) {
+  return (SpecOf(op).flags & kJournaled) != 0;
+}
 
 /// How a tenancy's catalog is bootstrapped over the wire (first open_period
 /// for a tenancy): either a canned simdb scenario by name or inline table

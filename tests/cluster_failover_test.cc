@@ -498,6 +498,24 @@ TEST(ClusterStaleReadTest, DeadOwnerDegradesToStaleSnapshotNotNotFound) {
   const Response refused = cluster->router->Route(advance, &channel);
   EXPECT_FALSE(refused.ok());
   EXPECT_NE(refused.status.code(), StatusCode::kNotFound);
+
+  // As batch members, the same three requests answer byte for byte what
+  // they answered sent alone: the stale report, the refused mutation and
+  // the NotFound.
+  Request batch;
+  batch.op = RequestOp::kBatch;
+  batch.requests = {report, advance, ghost};
+  const Response batched = cluster->router->Route(batch, &channel);
+  ASSERT_TRUE(batched.ok()) << batched.status.ToString();
+  const JsonValue* docs = batched.payload.Find("responses");
+  ASSERT_NE(docs, nullptr);
+  ASSERT_EQ(docs->AsArray().size(), 3u);
+  const Response* alone[] = {&stale, &refused, &missing};
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(docs->AsArray()[i].Dump(),
+              service::protocol::ToJson(*alone[i]).Dump())
+        << "member " << i;
+  }
 }
 
 // -- The retryable failover signal ------------------------------------------

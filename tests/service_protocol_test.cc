@@ -52,6 +52,7 @@ Request SampleRequest(RequestOp op) {
       break;
     }
     case RequestOp::kSubmit:
+    case RequestOp::kQueryPrice:
       request.tenants = {SampleTenant(), SampleTenant()};
       break;
     case RequestOp::kDepart:
@@ -59,6 +60,25 @@ Request SampleRequest(RequestOp op) {
       break;
     case RequestOp::kAdvanceSlot:
       request.slots = 4;
+      break;
+    case RequestOp::kReplAppend:
+      request.record =
+          R"({"op":"advance_slot","slots":1,"tenancy":"acme","v":1})";
+      break;
+    case RequestOp::kReplCheckpoint:
+      request.snapshot = JsonValue::MakeObject();
+      request.snapshot->Set("periods_run", JsonValue::Number(2));
+      break;
+    case RequestOp::kClusterUpdate:
+      request.placement = JsonValue::MakeObject();
+      request.placement->Set("version", JsonValue::Number(4));
+      break;
+    case RequestOp::kExport:
+      request.tenancy = "acme";  // The optional filter.
+      break;
+    case RequestOp::kBatch:
+      request.requests = {SampleRequest(RequestOp::kAdvanceSlot),
+                          SampleRequest(RequestOp::kQueryPrice)};
       break;
     default:
       break;
@@ -84,14 +104,8 @@ TEST_P(RequestRoundTripTest, SerializesParsesAndReserializesIdentically) {
   EXPECT_EQ(ToJson(*parsed).Dump(), wire);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllOps, RequestRoundTripTest,
-    ::testing::Values(RequestOp::kOpenPeriod, RequestOp::kSubmit,
-                      RequestOp::kDepart, RequestOp::kAdvanceSlot,
-                      RequestOp::kClosePeriod, RequestOp::kReport,
-                      RequestOp::kListMechanisms, RequestOp::kSnapshot,
-                      RequestOp::kRestore, RequestOp::kShutdown,
-                      RequestOp::kServerInfo));
+INSTANTIATE_TEST_SUITE_P(AllOps, RequestRoundTripTest,
+                         ::testing::ValuesIn(kAllRequestOps));
 
 TEST(RequestParsing, PreservesTheClientVersion) {
   // A v1 document parses to a v1 request and re-serializes as v1 — the
@@ -162,11 +176,7 @@ TEST(RequestParsing, PreservesVariantPayloads) {
 }
 
 TEST(RequestParsing, RejectsUnknownFields) {
-  for (RequestOp op :
-       {RequestOp::kOpenPeriod, RequestOp::kSubmit, RequestOp::kDepart,
-        RequestOp::kAdvanceSlot, RequestOp::kClosePeriod, RequestOp::kReport,
-        RequestOp::kListMechanisms, RequestOp::kSnapshot, RequestOp::kRestore,
-        RequestOp::kShutdown, RequestOp::kServerInfo}) {
+  for (RequestOp op : kAllRequestOps) {
     JsonValue doc = ToJson(SampleRequest(op));
     doc.Set("surprise", JsonValue::Number(1.0));
     Result<Request> parsed = RequestFromJson(doc);

@@ -52,14 +52,7 @@ simdb::SimUser SampleTenant() {
 /// Canonical serialized lines for every op and version that speaks it.
 std::vector<std::string> CanonicalLines() {
   std::vector<std::string> lines;
-  const std::vector<RequestOp> ops = {
-      RequestOp::kOpenPeriod,   RequestOp::kSubmit,
-      RequestOp::kDepart,       RequestOp::kAdvanceSlot,
-      RequestOp::kClosePeriod,  RequestOp::kReport,
-      RequestOp::kQueryPrice,   RequestOp::kListMechanisms,
-      RequestOp::kSnapshot,     RequestOp::kRestore,
-      RequestOp::kShutdown,     RequestOp::kServerInfo};
-  for (const RequestOp op : ops) {
+  for (const RequestOp op : kAllRequestOps) {
     for (int version = RequestOpMinVersion(op); version <= kProtocolVersion;
          ++version) {
       for (const bool with_id : {false, true}) {
@@ -85,6 +78,33 @@ std::vector<std::string> CanonicalLines() {
           case RequestOp::kAdvanceSlot:
             request.slots = 4;
             break;
+          case RequestOp::kReplAppend:
+            request.record =
+                R"({"op":"advance_slot","slots":1,"tenancy":"acme","v":1})";
+            break;
+          case RequestOp::kReplCheckpoint:
+            request.snapshot = JsonValue::MakeObject();
+            request.snapshot->Set("periods_run", JsonValue::Number(2));
+            break;
+          case RequestOp::kClusterUpdate:
+            request.placement = JsonValue::MakeObject();
+            request.placement->Set("version", JsonValue::Number(4));
+            break;
+          case RequestOp::kExport:
+            request.tenancy = "acme";  // The optional filter.
+            break;
+          case RequestOp::kBatch: {
+            Request advance;
+            advance.op = RequestOp::kAdvanceSlot;
+            advance.version = 1;
+            advance.tenancy = "acme";
+            advance.slots = 2;
+            Request report;
+            report.op = RequestOp::kReport;
+            report.tenancy = "acme";
+            request.requests = {advance, report};
+            break;
+          }
           default:
             break;
         }

@@ -1,26 +1,25 @@
 // CI perf gate: diffs freshly-produced BENCH_*.json artifacts against the
-// checked-in snapshots in bench/baselines/, holding every gated metric
+// same harnesses' output at a base commit, holding every gated metric
 // (bench/baselines/gates.json) inside its allowed envelope. Two gate
 // flavors:
 //
-//   - max_regress_pct: the current value may trail the baseline by at most
-//     that percentage (direction-aware). For absolute rates (req/s,
-//     lines/s) the margins are generous — CI runners vary — the gate
-//     exists to catch order-of-magnitude cliffs, not 5% jitter.
+//   - max_regress_pct: the current value may trail the base run's by at
+//     most that percentage (direction-aware). For absolute rates (req/s,
+//     lines/s) the margins are generous — the gate exists to catch
+//     order-of-magnitude cliffs, not 5% jitter.
 //   - min / max: absolute bounds on the current value alone, for
 //     machine-independent ratios (speedups, latency ratios, attack gains)
 //     that must hold on any hardware. An artifact gated only this way
-//     needs no snapshot (BENCH_serving.json has none).
+//     needs no base run (BENCH_serving.json has none).
 //
 // A metric entry may carry "waiver": "<reason>" to skip it temporarily;
 // the waiver is printed so it cannot rot silently. Exits non-zero when any
 // un-waived gate fails, after printing the full trajectory table.
 //
-//   bench_compare [--baselines DIR] [--current DIR] [--gates PATH]
+//   bench_compare [--baselines BASE_DIR] [--current DIR] [--gates PATH]
 //
-// Updating baselines: rerun the benches on the reference runner class and
-// copy the fresh BENCH_*.json over bench/baselines/ (see
-// bench/baselines/README.md for the exact procedure).
+// BASE_DIR holds the base commit's BENCH_*.json, produced on the same
+// machine (bench/baselines/README.md).
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -283,8 +282,8 @@ int main(int argc, char** argv) {
 
   if (failed) {
     std::cerr << "\nbench_compare: perf gate FAILED (see table above). If "
-                 "the change is intentional, refresh bench/baselines/ or add "
-                 "a waiver per bench/baselines/README.md.\n";
+                 "the change is intentional, add a waiver per "
+                 "bench/baselines/README.md.\n";
     return 1;
   }
   std::cout << "\nbench_compare: all gates passed\n";
