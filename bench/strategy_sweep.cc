@@ -3,11 +3,13 @@
 // BENCH_strategy.json:
 //
 //   trace_gen  how fast GenerateTrace expands a mixed diurnal/flash/
-//              Pareto scenario into tenants (tenants/s), plus the shape
-//              statistics the engine promises (flash spike, heavy tail).
+//              Pareto scenario into tenants (tenants/s, the fastest of the
+//              timed repetitions), plus the shape statistics the engine
+//              promises (flash spike, heavy tail).
 //   wire       the same trace serialized to its wire program
 //              (TraceRequestLines) and replayed through a real
-//              MarketplaceServer via HandleLine, in requests/s.
+//              MarketplaceServer via HandleLine, in requests/s: the
+//              fastest of 3 replays, each into a fresh server.
 //   attacks    StrategyHarness gains for the attack battery against the
 //              paper mechanism ("addon") and the exploitable naive
 //              baseline ("naive_online"). Every draw is seeded, so the
@@ -167,18 +169,20 @@ int main(int argc, char** argv) {
     const int reps = quick ? 3 : 10;
     const strategy::TraceConfig config = GenScenario(steady, crowd, periods);
     strategy::Trace trace;
-    const auto start = Clock::now();
+    double best_ms = 0.0;
     for (int r = 0; r < reps; ++r) {
+      const auto start = Clock::now();
       Result<strategy::Trace> generated = strategy::GenerateTrace(config);
+      const double ms = ElapsedMs(start);
       if (!generated.ok()) return Die(generated.status());
+      if (r == 0 || ms < best_ms) best_ms = ms;
       trace = std::move(*generated);
     }
-    const double ms = ElapsedMs(start);
     size_t tenants = 0;
     for (const strategy::TracePeriod& period : trace.periods) {
       tenants += period.tenants.size();
     }
-    const double total = static_cast<double>(tenants * reps);
+    const double total = static_cast<double>(tenants);
 
     // Shape: the flash-crowd spike vs. the average off-peak slot, and the
     // heavy tail of the steady class (both must hold on any machine).
@@ -198,9 +202,11 @@ int main(int argc, char** argv) {
 
     JsonValue gen = JsonValue::MakeObject();
     gen.Set("tenants_generated", JsonValue::Number(total));
-    gen.Set("ms_total", JsonValue::Number(ms));
+    gen.Set("repetitions", JsonValue::Number(reps));
+    gen.Set("ms_fastest", JsonValue::Number(best_ms));
     gen.Set("tenants_per_sec",
-            JsonValue::Number(ms > 0.0 ? total / (ms / 1000.0) : 0.0));
+            JsonValue::Number(best_ms > 0.0 ? total / (best_ms / 1000.0)
+                                            : 0.0));
     gen.Set("flash_peak_vs_off_peak",
             JsonValue::Number(off_peak > 0.0 ? peak / off_peak : 0.0));
     gen.Set("steady_tail_ratio", JsonValue::Number(strategy::TailRatio(first)));
@@ -217,26 +223,33 @@ int main(int argc, char** argv) {
         strategy::TraceRequestLines(config, *trace, "sweep-wire");
     if (!lines.ok()) return Die(lines.status());
 
-    service::ServerOptions options;
-    options.num_workers = 2;
-    service::MarketplaceServer server(std::move(options));
-    const auto start = Clock::now();
-    for (const std::string& line : *lines) {
-      const std::string response = server.HandleLine(line);
-      if (response.find("\"ok\":true") == std::string::npos &&
-          response.find("\"ok\": true") == std::string::npos) {
-        std::cerr << "wire replay failed: " << response << "\n";
-        return 1;
+    constexpr int kWireRepetitions = 3;
+    double best_ms = 0.0;
+    for (int r = 0; r < kWireRepetitions; ++r) {
+      service::ServerOptions options;
+      options.num_workers = 2;
+      service::MarketplaceServer server(std::move(options));
+      const auto start = Clock::now();
+      for (const std::string& line : *lines) {
+        const std::string response = server.HandleLine(line);
+        if (response.find("\"ok\":true") == std::string::npos &&
+            response.find("\"ok\": true") == std::string::npos) {
+          std::cerr << "wire replay failed: " << response << "\n";
+          return 1;
+        }
       }
+      const double ms = ElapsedMs(start);
+      if (r == 0 || ms < best_ms) best_ms = ms;
     }
-    const double ms = ElapsedMs(start);
     JsonValue wire = JsonValue::MakeObject();
     wire.Set("requests", JsonValue::Number(static_cast<double>(lines->size())));
-    wire.Set("ms_total", JsonValue::Number(ms));
+    wire.Set("repetitions", JsonValue::Number(kWireRepetitions));
+    wire.Set("ms_fastest", JsonValue::Number(best_ms));
     wire.Set("requests_per_sec",
-             JsonValue::Number(
-                 ms > 0.0 ? static_cast<double>(lines->size()) / (ms / 1000.0)
-                          : 0.0));
+             JsonValue::Number(best_ms > 0.0
+                                   ? static_cast<double>(lines->size()) /
+                                         (best_ms / 1000.0)
+                                   : 0.0));
     doc.Set("wire", std::move(wire));
   }
 

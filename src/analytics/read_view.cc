@@ -95,24 +95,22 @@ JsonValue ReadRegistry::InfoJson() const {
   return obj;
 }
 
-JsonValue ReportPayload(const ReadState& state) {
-  const service::TenancySnapshot& boundary = state.view->boundary;
-  const ReadDelta& delta = state.delta;
+JsonValue ReportPayload(const std::string& tenancy, int periods_run,
+                        const std::vector<std::string>& built,
+                        double cumulative_balance, double cumulative_utility,
+                        const ReadDelta& delta) {
   JsonValue payload = JsonValue::MakeObject();
-  payload.Set("tenancy", JsonValue::Str(boundary.name));
-  payload.Set("periods_run", JsonValue::Number(boundary.periods_run));
+  payload.Set("tenancy", JsonValue::Str(tenancy));
+  payload.Set("periods_run", JsonValue::Number(periods_run));
   payload.Set("period_open", JsonValue::Bool(delta.period_open));
   payload.Set("current_slot", JsonValue::Number(delta.current_slot));
   payload.Set("num_tenants", JsonValue::Number(delta.num_tenants));
-  JsonValue built = JsonValue::MakeArray();
-  for (const std::string& name : boundary.built) {
-    built.Append(JsonValue::Str(name));
-  }
-  payload.Set("built_structures", std::move(built));
-  payload.Set("cumulative_balance",
-              JsonValue::Number(boundary.cumulative_balance));
-  payload.Set("cumulative_utility",
-              JsonValue::Number(boundary.cumulative_utility));
+  JsonValue names = JsonValue::MakeArray();
+  names.Reserve(built.size());
+  for (const std::string& name : built) names.Append(JsonValue::Str(name));
+  payload.Set("built_structures", std::move(names));
+  payload.Set("cumulative_balance", JsonValue::Number(cumulative_balance));
+  payload.Set("cumulative_utility", JsonValue::Number(cumulative_utility));
   return payload;
 }
 

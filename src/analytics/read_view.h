@@ -120,10 +120,16 @@ class ReadRegistry {
   std::atomic<uint64_t> delta_publishes_{0};
 };
 
-/// The `report` payload served from a read state — field-for-field the
-/// write path's answer (tests/analytics_read_path_test.cc pins the two
-/// bit-identical at every period boundary and mid-period).
-JsonValue ReportPayload(const ReadState& state);
+/// The live `report` payload: a tenancy's period-boundary scalars overlaid
+/// with its open session's delta. The one builder of these keys: the read
+/// path passes its published view, the write path its live tenancy (the
+/// reference tests/analytics_read_path_test.cc compares the read path
+/// against), and the cluster router's stale fallback a replicated snapshot
+/// with no open session.
+JsonValue ReportPayload(const std::string& tenancy, int periods_run,
+                        const std::vector<std::string>& built,
+                        double cumulative_balance, double cumulative_utility,
+                        const ReadDelta& delta);
 
 /// The historical `report` payload for one closed period, served from the
 /// retained history. NotFound when the period's report is not retained

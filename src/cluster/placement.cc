@@ -162,17 +162,9 @@ JsonValue PlacementMap::ToJson() const {
 }
 
 Result<PlacementMap> PlacementMap::FromJson(const JsonValue& v) {
-  if (!v.is_object()) {
-    return Status::InvalidArgument("placement must be an object");
-  }
-  for (const auto& [key, value] : v.AsObject()) {
-    (void)value;
-    if (key != "v" && key != "vnodes" && key != "nodes" &&
-        key != "overrides") {
-      return Status::InvalidArgument("placement: unknown field \"" + key +
-                                     "\"");
-    }
-  }
+  OPTSHARE_RETURN_NOT_OK(CheckObject(v, "placement"));
+  OPTSHARE_RETURN_NOT_OK(
+      CheckFields(v, {"v", "vnodes", "nodes", "overrides"}, "placement"));
   Result<int64_t> version = JsonIntField(v, "v", "placement");
   if (!version.ok()) return version.status();
   Result<int64_t> vnodes = JsonIntField(v, "vnodes", "placement");
@@ -180,23 +172,14 @@ Result<PlacementMap> PlacementMap::FromJson(const JsonValue& v) {
   if (*vnodes < 1 || *vnodes > 4096) {
     return Status::InvalidArgument("placement: \"vnodes\" out of range");
   }
-  const JsonValue* nodes = v.Find("nodes");
-  if (nodes == nullptr || !nodes->is_array()) {
-    return Status::InvalidArgument(
-        "placement: field \"nodes\" must be an array");
-  }
+  Result<const JsonValue::Array*> nodes =
+      JsonArrayField(v, "nodes", "placement");
+  if (!nodes.ok()) return nodes.status();
   std::vector<NodeInfo> parsed_nodes;
-  for (const JsonValue& node_v : nodes->AsArray()) {
-    if (!node_v.is_object()) {
-      return Status::InvalidArgument("placement node must be an object");
-    }
-    for (const auto& [key, value] : node_v.AsObject()) {
-      (void)value;
-      if (key != "id" && key != "host" && key != "port" && key != "dead") {
-        return Status::InvalidArgument(
-            "placement node: unknown field \"" + key + "\"");
-      }
-    }
+  for (const JsonValue& node_v : **nodes) {
+    OPTSHARE_RETURN_NOT_OK(CheckObject(node_v, "placement node"));
+    OPTSHARE_RETURN_NOT_OK(CheckFields(
+        node_v, {"id", "host", "port", "dead"}, "placement node"));
     NodeInfo node;
     Result<std::string> id = JsonStringField(node_v, "id", "placement node");
     if (!id.ok()) return id.status();

@@ -1,10 +1,10 @@
 #include "cluster/router.h"
 
-#include <fcntl.h>
 #include <poll.h>
 
 #include <utility>
 
+#include "analytics/read_view.h"
 #include "service/state_store.h"
 
 namespace optshare::cluster {
@@ -334,24 +334,13 @@ Response ClusterRouter::StaleReportFallback(const Request& request,
     Result<service::TenancySnapshot> parsed =
         service::TenancySnapshotFromJson(*snapshot);
     if (!parsed.ok()) continue;
-    // The report payload shape of a period boundary (no open session), plus
-    // the stale marker. periods_run versions the answer: a client can tell
+    // The report payload of a period boundary (no open session), plus the
+    // stale marker. periods_run versions the answer: a client can tell
     // exactly how far behind the live tenancy this view may be.
-    JsonValue payload = JsonValue::MakeObject();
-    payload.Set("tenancy", JsonValue::Str(parsed->name));
-    payload.Set("periods_run", JsonValue::Number(parsed->periods_run));
-    payload.Set("period_open", JsonValue::Bool(false));
-    payload.Set("current_slot", JsonValue::Number(0));
-    payload.Set("num_tenants", JsonValue::Number(0));
-    JsonValue built = JsonValue::MakeArray();
-    for (const std::string& name : parsed->built) {
-      built.Append(JsonValue::Str(name));
-    }
-    payload.Set("built_structures", std::move(built));
-    payload.Set("cumulative_balance",
-                JsonValue::Number(parsed->cumulative_balance));
-    payload.Set("cumulative_utility",
-                JsonValue::Number(parsed->cumulative_utility));
+    JsonValue payload = analytics::ReportPayload(
+        parsed->name, parsed->periods_run, parsed->built,
+        parsed->cumulative_balance, parsed->cumulative_utility,
+        analytics::ReadDelta{});
     payload.Set("stale", JsonValue::Bool(true));
     payload.Set("served_by", JsonValue::Str(node.id));
     stale_reads_.fetch_add(1, std::memory_order_relaxed);
@@ -619,9 +608,11 @@ JsonValue ClusterRouter::InfoJson() const {
 
 namespace {
 
-/// Blocking write of the whole buffer (the fd is in blocking mode; a
-/// would_block can only appear transiently).
-Status WriteAll(int fd, const std::string& data) {
+/// Writes the whole buffer to the non-blocking `fd`, polling while the
+/// client is not reading; gives up once `stop` is set, so a client that
+/// never reads cannot hold Stop() up.
+Status WriteAll(int fd, const std::string& data,
+                const std::atomic<bool>& stop) {
   size_t off = 0;
   while (off < data.size()) {
     Result<net::IoChunk> chunk =
@@ -629,6 +620,7 @@ Status WriteAll(int fd, const std::string& data) {
     if (!chunk.ok()) return chunk.status();
     if (chunk->eof) return Status::Internal("peer closed");
     if (chunk->would_block) {
+      if (stop.load()) return Status::Unavailable("router stopping");
       pollfd pfd{fd, POLLOUT, 0};
       (void)poll(&pfd, 1, 100);
       continue;
@@ -668,12 +660,6 @@ void RouterServer::AcceptLoop() {
     if (rc <= 0) continue;
     Result<net::Socket> accepted = net::AcceptNonBlocking(listener_);
     if (!accepted.ok() || !accepted->valid()) continue;
-    // Thread-per-connection with blocking I/O: flip the accepted socket
-    // back to blocking mode.
-    const int flags = fcntl(accepted->fd(), F_GETFL, 0);
-    if (flags >= 0) {
-      (void)fcntl(accepted->fd(), F_SETFL, flags & ~O_NONBLOCK);
-    }
     std::lock_guard<std::mutex> lock(threads_mu_);
     connection_threads_.emplace_back(
         [this, socket = std::make_shared<net::Socket>(
@@ -712,7 +698,7 @@ void RouterServer::Serve(net::Socket socket) {
         response_line = router_->RouteLine(line, &channel);
       }
       response_line.push_back('\n');
-      if (!WriteAll(socket.fd(), response_line).ok()) return;
+      if (!WriteAll(socket.fd(), response_line, stop_).ok()) return;
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <limits>
 
 #include "common/csv.h"  // FormatDouble.
 
@@ -419,6 +420,32 @@ Result<JsonValue> JsonValue::Parse(std::string_view text) {
   return Parser(text).ParseDocument();
 }
 
+Status CheckObject(const JsonValue& v, const char* ctx) {
+  if (!v.is_object()) {
+    return Status::InvalidArgument(std::string(ctx) + " must be an object");
+  }
+  return Status::OK();
+}
+
+Status CheckFields(const JsonValue& v,
+                   std::initializer_list<const char*> allowed,
+                   const char* ctx) {
+  for (const auto& [key, value] : v.AsObject()) {
+    bool known = false;
+    for (const char* name : allowed) {
+      if (key == name) {
+        known = true;
+        break;
+      }
+    }
+    if (!known) {
+      return Status::InvalidArgument(std::string(ctx) + ": unknown field \"" +
+                                     key + "\"");
+    }
+  }
+  return Status::OK();
+}
+
 Result<double> JsonNumberField(const JsonValue& v, const std::string& key,
                                const char* ctx) {
   const JsonValue* field = v.Find(key);
@@ -442,6 +469,18 @@ Result<int64_t> JsonIntField(const JsonValue& v, const std::string& key,
   return static_cast<int64_t>(*number);
 }
 
+Result<int> JsonInt32Field(const JsonValue& v, const std::string& key,
+                           const char* ctx) {
+  Result<int64_t> number = JsonIntField(v, key, ctx);
+  if (!number.ok()) return number.status();
+  if (*number < std::numeric_limits<int>::min() ||
+      *number > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(std::string(ctx) + ": field \"" + key +
+                                   "\" must be an integer");
+  }
+  return static_cast<int>(*number);
+}
+
 Result<std::string> JsonStringField(const JsonValue& v,
                                     const std::string& key, const char* ctx) {
   const JsonValue* field = v.Find(key);
@@ -460,6 +499,17 @@ Result<bool> JsonBoolField(const JsonValue& v, const std::string& key,
                                    "\" must be a boolean");
   }
   return field->AsBool();
+}
+
+Result<const JsonValue::Array*> JsonArrayField(const JsonValue& v,
+                                               const std::string& key,
+                                               const char* ctx) {
+  const JsonValue* field = v.Find(key);
+  if (field == nullptr || !field->is_array()) {
+    return Status::InvalidArgument(std::string(ctx) + ": field \"" + key +
+                                   "\" must be an array");
+  }
+  return &field->AsArray();
 }
 
 }  // namespace optshare

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <string_view>
@@ -94,19 +95,37 @@ std::string JsonEscape(std::string_view s);
 /// and appends to *out — no per-string temporary, no incremental growth.
 void JsonEscapeTo(std::string_view s, std::string* out);
 
-// -- Typed object-field accessors -------------------------------------------
+// -- Strict-schema checks and typed object-field accessors ------------------
 // One implementation for every strict schema in the codebase (wire
-// protocol, snapshots): a missing or mistyped field is an InvalidArgument
-// of the uniform shape `<ctx>: field "<key>" must be a <type>`.
+// protocol, snapshots, simdb documents, trace configs): a missing or
+// mistyped field is an InvalidArgument of the uniform shape
+// `<ctx>: field "<key>" must be a <type>`.
+
+/// InvalidArgument `<ctx> must be an object` unless `v` is one.
+Status CheckObject(const JsonValue& v, const char* ctx);
+/// Unknown-field rejection, the strictness that keeps schema drift loud:
+/// InvalidArgument `<ctx>: unknown field "<key>"` for the first key of the
+/// object `v` that is not in `allowed`.
+Status CheckFields(const JsonValue& v,
+                   std::initializer_list<const char*> allowed,
+                   const char* ctx);
 
 Result<double> JsonNumberField(const JsonValue& v, const std::string& key,
                                const char* ctx);
 /// A number that is integral (and within int64 range).
 Result<int64_t> JsonIntField(const JsonValue& v, const std::string& key,
                              const char* ctx);
+/// JsonIntField narrowed to int: a value outside int's range is not
+/// "an integer" either.
+Result<int> JsonInt32Field(const JsonValue& v, const std::string& key,
+                           const char* ctx);
 Result<std::string> JsonStringField(const JsonValue& v,
                                     const std::string& key, const char* ctx);
 Result<bool> JsonBoolField(const JsonValue& v, const std::string& key,
                            const char* ctx);
+/// The elements of the array at `key`.
+Result<const JsonValue::Array*> JsonArrayField(const JsonValue& v,
+                                               const std::string& key,
+                                               const char* ctx);
 
 }  // namespace optshare

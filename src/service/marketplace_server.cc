@@ -18,6 +18,7 @@ namespace {
 
 using protocol::ErrorResponse;
 using protocol::OkResponse;
+using protocol::OpIsReplication;
 using protocol::OpMutatesTenancy;
 using protocol::Request;
 using protocol::RequestOp;
@@ -259,7 +260,8 @@ void MarketplaceServer::DispatchCallback(
   // indeterminately sequenced, and the lambda's init-capture moves
   // `request` out from under an inline ShardOf(request.tenancy).
   const size_t shard = ShardOf(request.tenancy);
-  pool_.Post(shard, [this, request = std::move(request),
+  ThreadPool& queue = OpIsReplication(request.op) ? replication_lane_ : pool_;
+  queue.Post(shard, [this, request = std::move(request),
                      done = std::move(done)]() mutable {
                // One request's failure must stay one request's failure: an
                // exception out of Execute (e.g. bad_alloc on a huge
@@ -493,7 +495,10 @@ std::string MarketplaceServer::HandleLine(const std::string& line) {
   return protocol::FormatResponseLine(Handle(std::move(request)));
 }
 
-void MarketplaceServer::Drain() { pool_.Drain(); }
+void MarketplaceServer::Drain() {
+  pool_.Drain();
+  replication_lane_.Drain();
+}
 
 Result<RecoveryStats> MarketplaceServer::Recover() {
   return RecoverImpl(std::nullopt);
@@ -649,7 +654,7 @@ MarketplaceServer::RecoverOutcome MarketplaceServer::RecoverTenancy(
 
 Status MarketplaceServer::Shutdown() {
   shutdown_requested_.store(true);
-  pool_.Drain();
+  Drain();
   if (shut_down_.exchange(true)) return Status::OK();
   // Post-drain and with dispatching stopped (the caller's contract),
   // nothing touches tenancy state concurrently.
@@ -1069,7 +1074,13 @@ bool MarketplaceServer::TryServeRead(const Request& request, Response* out) {
         *out = payload.ok() ? OkResponse(request.id, std::move(*payload))
                             : ErrorResponse(request.id, payload.status());
       } else {
-        *out = OkResponse(request.id, analytics::ReportPayload(*state));
+        const TenancySnapshot& boundary = state->view->boundary;
+        *out = OkResponse(
+            request.id,
+            analytics::ReportPayload(
+                boundary.name, boundary.periods_run, boundary.built,
+                boundary.cumulative_balance, boundary.cumulative_utility,
+                state->delta));
       }
       reads_served_.fetch_add(1, std::memory_order_relaxed);
       return true;
@@ -1364,26 +1375,12 @@ Response MarketplaceServer::ExecuteTenancyOp(const Request& request,
       if (!payload.ok()) return ErrorResponse(request.id, payload.status());
       return OkResponse(request.id, std::move(*payload));
     }
-    JsonValue payload = JsonValue::MakeObject();
-    payload.Set("tenancy", JsonValue::Str(tenancy->name));
-    payload.Set("periods_run", JsonValue::Number(tenancy->periods_run));
-    payload.Set("period_open", JsonValue::Bool(tenancy->session.has_value()));
-    payload.Set("current_slot",
-                JsonValue::Number(
-                    tenancy->session ? tenancy->session->slots_advanced() : 0));
-    payload.Set("num_tenants",
-                JsonValue::Number(
-                    tenancy->session ? tenancy->session->num_tenants() : 0));
-    JsonValue built = JsonValue::MakeArray();
-    for (const std::string& name : tenancy->built) {
-      built.Append(JsonValue::Str(name));
-    }
-    payload.Set("built_structures", std::move(built));
-    payload.Set("cumulative_balance",
-                JsonValue::Number(tenancy->cumulative_balance));
-    payload.Set("cumulative_utility",
-                JsonValue::Number(tenancy->cumulative_utility));
-    return OkResponse(request.id, std::move(payload));
+    return OkResponse(
+        request.id,
+        analytics::ReportPayload(tenancy->name, tenancy->periods_run,
+                                 tenancy->built, tenancy->cumulative_balance,
+                                 tenancy->cumulative_utility,
+                                 DeltaOf(*tenancy)));
   }
 
   // Every remaining op drives the open period.

@@ -16,6 +16,10 @@
 // price concurrently. Shared read paths are shareable by construction: the
 // MechanismRegistry is mutex-guarded, simdb::Catalog is only read once a
 // tenancy is created, and each PricingSession lives entirely on its shard.
+// The replication-stream ops a replica receives (repl_append,
+// repl_checkpoint, repl_sync) touch only the store and run in arrival order
+// on a one-worker replication lane instead: a shard whose write waits on a
+// peer's replica ack must never be the shard that peer's own stream needs.
 //
 // Durability (service/state_store.h): every state-mutating request is
 // journaled to the server's StateStore before it executes (WAL), and each
@@ -340,6 +344,9 @@ class MarketplaceServer {
   /// Consulted by DispatchCallback/DispatchBatch only — replay calls
   /// Execute directly, so recovery is never throttled.
   AdmissionController admission_;
+  /// Runs the replication-stream ops (protocol::OpIsReplication), one at a
+  /// time in arrival order.
+  ThreadPool replication_lane_{1};
   ThreadPool pool_;  ///< Last member: destroyed first, so workers stop
                      ///< before the state they touch goes away.
 };

@@ -1,71 +1,13 @@
 #include "service/protocol.h"
 
 #include <cmath>
-#include <initializer_list>
-#include <limits>
 #include <utility>
 
 #include "service/fast_wire.h"
+#include "simdb/json.h"
 
 namespace optshare::service::protocol {
 namespace {
-
-// -- Strict-parse helpers ---------------------------------------------------
-
-Status CheckObject(const JsonValue& v, const char* ctx) {
-  if (!v.is_object()) {
-    return Status::InvalidArgument(std::string(ctx) + " must be an object");
-  }
-  return Status::OK();
-}
-
-/// Unknown-field rejection: the strictness that keeps schema drift loud.
-Status CheckFields(const JsonValue& v,
-                   std::initializer_list<const char*> allowed,
-                   const char* ctx) {
-  for (const auto& [key, value] : v.AsObject()) {
-    bool known = false;
-    for (const char* name : allowed) {
-      if (key == name) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      return Status::InvalidArgument(std::string(ctx) + ": unknown field \"" +
-                                     key + "\"");
-    }
-  }
-  return Status::OK();
-}
-
-// Thin protocol-flavored wrappers over the shared typed accessors
-// (common/json.h); GetInt narrows to the protocol's int fields.
-
-Result<double> GetNumber(const JsonValue& v, const char* key,
-                         const char* ctx) {
-  return JsonNumberField(v, key, ctx);
-}
-
-Result<int> GetInt(const JsonValue& v, const char* key, const char* ctx) {
-  Result<int64_t> number = JsonIntField(v, key, ctx);
-  if (!number.ok()) return number.status();
-  if (*number < std::numeric_limits<int>::min() ||
-      *number > std::numeric_limits<int>::max()) {
-    return Status::InvalidArgument(std::string(ctx) + ": field \"" + key +
-                                   "\" must be an integer");
-  }
-  return static_cast<int>(*number);
-}
-
-Result<std::string> GetString(const JsonValue& v, const char* key,
-                              const char* ctx) {
-  return JsonStringField(v, key, ctx);
-}
-
-Result<bool> GetBool(const JsonValue& v, const char* key, const char* ctx) {
-  return JsonBoolField(v, key, ctx);
-}
 
 /// Parses the "v" field and accepts any version this build still speaks
 /// ([kMinProtocolVersion, kProtocolVersion]); the accepted value is
@@ -87,25 +29,6 @@ Result<int> CheckVersion(const JsonValue& v, const char* ctx) {
   return static_cast<int>(number);
 }
 
-std::string_view ColumnTypeName(simdb::ColumnType type) {
-  switch (type) {
-    case simdb::ColumnType::kInt64:
-      return "int64";
-    case simdb::ColumnType::kDouble:
-      return "double";
-    case simdb::ColumnType::kString:
-      return "string";
-  }
-  return "int64";
-}
-
-std::optional<simdb::ColumnType> ColumnTypeFromName(std::string_view name) {
-  if (name == "int64") return simdb::ColumnType::kInt64;
-  if (name == "double") return simdb::ColumnType::kDouble;
-  if (name == "string") return simdb::ColumnType::kString;
-  return std::nullopt;
-}
-
 }  // namespace
 
 // -- Op tags ----------------------------------------------------------------
@@ -118,166 +41,6 @@ std::optional<RequestOp> RequestOpFromName(std::string_view name) {
 }
 
 // -- Leaf serializers -------------------------------------------------------
-
-JsonValue ToJson(const simdb::SimUser& tenant) {
-  JsonValue obj = JsonValue::MakeObject();
-  obj.Set("start", JsonValue::Number(tenant.start));
-  obj.Set("end", JsonValue::Number(tenant.end));
-  obj.Set("executions_per_slot",
-          JsonValue::Number(tenant.executions_per_slot));
-  JsonValue workload = JsonValue::MakeArray();
-  workload.Reserve(tenant.workload.entries.size());
-  for (const simdb::Workload::Entry& entry : tenant.workload.entries) {
-    JsonValue query = JsonValue::MakeObject();
-    query.Set("table", JsonValue::Str(entry.query.table));
-    query.Set("aggregate", JsonValue::Bool(entry.query.aggregate));
-    JsonValue predicates = JsonValue::MakeArray();
-    predicates.Reserve(entry.query.predicates.size());
-    for (const simdb::Predicate& pred : entry.query.predicates) {
-      JsonValue p = JsonValue::MakeObject();
-      p.Set("column", JsonValue::Str(pred.column));
-      p.Set("selectivity", JsonValue::Number(pred.selectivity));
-      predicates.Append(std::move(p));
-    }
-    query.Set("predicates", std::move(predicates));
-    JsonValue e = JsonValue::MakeObject();
-    e.Set("frequency", JsonValue::Number(entry.frequency));
-    e.Set("query", std::move(query));
-    workload.Append(std::move(e));
-  }
-  obj.Set("workload", std::move(workload));
-  return obj;
-}
-
-Result<simdb::SimUser> SimUserFromJson(const JsonValue& v) {
-  OPTSHARE_RETURN_NOT_OK(CheckObject(v, "tenant"));
-  OPTSHARE_RETURN_NOT_OK(CheckFields(
-      v, {"start", "end", "executions_per_slot", "workload"}, "tenant"));
-  simdb::SimUser tenant;
-  Result<int> start = GetInt(v, "start", "tenant");
-  if (!start.ok()) return start.status();
-  tenant.start = *start;
-  Result<int> end = GetInt(v, "end", "tenant");
-  if (!end.ok()) return end.status();
-  tenant.end = *end;
-  Result<double> executions =
-      GetNumber(v, "executions_per_slot", "tenant");
-  if (!executions.ok()) return executions.status();
-  tenant.executions_per_slot = *executions;
-
-  const JsonValue* workload = v.Find("workload");
-  if (workload == nullptr || !workload->is_array()) {
-    return Status::InvalidArgument("tenant: field \"workload\" must be an array");
-  }
-  for (const JsonValue& entry_v : workload->AsArray()) {
-    OPTSHARE_RETURN_NOT_OK(CheckObject(entry_v, "workload entry"));
-    OPTSHARE_RETURN_NOT_OK(
-        CheckFields(entry_v, {"frequency", "query"}, "workload entry"));
-    simdb::Workload::Entry entry;
-    Result<double> frequency = GetNumber(entry_v, "frequency", "workload entry");
-    if (!frequency.ok()) return frequency.status();
-    entry.frequency = *frequency;
-    const JsonValue* query_v = entry_v.Find("query");
-    if (query_v == nullptr) {
-      return Status::InvalidArgument("workload entry: missing \"query\"");
-    }
-    OPTSHARE_RETURN_NOT_OK(CheckObject(*query_v, "query"));
-    OPTSHARE_RETURN_NOT_OK(
-        CheckFields(*query_v, {"table", "aggregate", "predicates"}, "query"));
-    Result<std::string> table = GetString(*query_v, "table", "query");
-    if (!table.ok()) return table.status();
-    entry.query.table = std::move(*table);
-    Result<bool> aggregate = GetBool(*query_v, "aggregate", "query");
-    if (!aggregate.ok()) return aggregate.status();
-    entry.query.aggregate = *aggregate;
-    const JsonValue* predicates = query_v->Find("predicates");
-    if (predicates == nullptr || !predicates->is_array()) {
-      return Status::InvalidArgument(
-          "query: field \"predicates\" must be an array");
-    }
-    for (const JsonValue& pred_v : predicates->AsArray()) {
-      OPTSHARE_RETURN_NOT_OK(CheckObject(pred_v, "predicate"));
-      OPTSHARE_RETURN_NOT_OK(
-          CheckFields(pred_v, {"column", "selectivity"}, "predicate"));
-      simdb::Predicate pred;
-      Result<std::string> column = GetString(pred_v, "column", "predicate");
-      if (!column.ok()) return column.status();
-      pred.column = std::move(*column);
-      Result<double> selectivity =
-          GetNumber(pred_v, "selectivity", "predicate");
-      if (!selectivity.ok()) return selectivity.status();
-      pred.selectivity = *selectivity;
-      entry.query.predicates.push_back(std::move(pred));
-    }
-    tenant.workload.entries.push_back(std::move(entry));
-  }
-  return tenant;
-}
-
-JsonValue ToJson(const simdb::TableDef& table) {
-  JsonValue obj = JsonValue::MakeObject();
-  obj.Set("name", JsonValue::Str(table.name));
-  obj.Set("row_count",
-          JsonValue::Number(static_cast<double>(table.row_count)));
-  JsonValue columns = JsonValue::MakeArray();
-  for (const simdb::Column& column : table.columns) {
-    JsonValue c = JsonValue::MakeObject();
-    c.Set("name", JsonValue::Str(column.name));
-    c.Set("type", JsonValue::Str(std::string(ColumnTypeName(column.type))));
-    c.Set("distinct_values",
-          JsonValue::Number(static_cast<double>(column.distinct_values)));
-    columns.Append(std::move(c));
-  }
-  obj.Set("columns", std::move(columns));
-  return obj;
-}
-
-Result<simdb::TableDef> TableDefFromJson(const JsonValue& v) {
-  OPTSHARE_RETURN_NOT_OK(CheckObject(v, "table"));
-  OPTSHARE_RETURN_NOT_OK(
-      CheckFields(v, {"name", "row_count", "columns"}, "table"));
-  simdb::TableDef table;
-  Result<std::string> name = GetString(v, "name", "table");
-  if (!name.ok()) return name.status();
-  table.name = std::move(*name);
-  Result<double> rows = GetNumber(v, "row_count", "table");
-  if (!rows.ok()) return rows.status();
-  if (*rows < 0.0 || *rows != std::floor(*rows)) {
-    return Status::InvalidArgument(
-        "table: \"row_count\" must be a non-negative integer");
-  }
-  table.row_count = static_cast<uint64_t>(*rows);
-  const JsonValue* columns = v.Find("columns");
-  if (columns == nullptr || !columns->is_array()) {
-    return Status::InvalidArgument("table: field \"columns\" must be an array");
-  }
-  for (const JsonValue& column_v : columns->AsArray()) {
-    OPTSHARE_RETURN_NOT_OK(CheckObject(column_v, "column"));
-    OPTSHARE_RETURN_NOT_OK(CheckFields(
-        column_v, {"name", "type", "distinct_values"}, "column"));
-    simdb::Column column;
-    Result<std::string> column_name = GetString(column_v, "name", "column");
-    if (!column_name.ok()) return column_name.status();
-    column.name = std::move(*column_name);
-    Result<std::string> type = GetString(column_v, "type", "column");
-    if (!type.ok()) return type.status();
-    std::optional<simdb::ColumnType> parsed = ColumnTypeFromName(*type);
-    if (!parsed) {
-      return Status::InvalidArgument("column: unknown type \"" + *type +
-                                     "\" (int64, double, string)");
-    }
-    column.type = *parsed;
-    Result<double> distinct = GetNumber(column_v, "distinct_values", "column");
-    if (!distinct.ok()) return distinct.status();
-    if (*distinct < 1.0 || *distinct != std::floor(*distinct)) {
-      return Status::InvalidArgument(
-          "column: \"distinct_values\" must be a positive integer");
-    }
-    column.distinct_values = static_cast<uint64_t>(*distinct);
-    table.columns.push_back(std::move(column));
-  }
-  return table;
-}
 
 JsonValue ToJson(const ServiceConfig& config) {
   JsonValue obj = JsonValue::MakeObject();
@@ -321,17 +84,18 @@ Result<ServiceConfig> ServiceConfigFromJson(const JsonValue& v) {
       "config"));
   ServiceConfig config;  // Every field is optional: defaults apply.
   if (v.Find("slots_per_period") != nullptr) {
-    Result<int> slots = GetInt(v, "slots_per_period", "config");
+    Result<int> slots = JsonInt32Field(v, "slots_per_period", "config");
     if (!slots.ok()) return slots.status();
     config.slots_per_period = *slots;
   }
   if (v.Find("maintenance_fraction") != nullptr) {
-    Result<double> fraction = GetNumber(v, "maintenance_fraction", "config");
+    Result<double> fraction =
+        JsonNumberField(v, "maintenance_fraction", "config");
     if (!fraction.ok()) return fraction.status();
     config.maintenance_fraction = *fraction;
   }
   if (v.Find("mechanism") != nullptr) {
-    Result<std::string> mechanism = GetString(v, "mechanism", "config");
+    Result<std::string> mechanism = JsonStringField(v, "mechanism", "config");
     if (!mechanism.ok()) return mechanism.status();
     config.mechanism = std::move(*mechanism);
   }
@@ -342,18 +106,19 @@ Result<ServiceConfig> ServiceConfigFromJson(const JsonValue& v) {
         "config.advisor"));
     if (advisor->Find("min_benefit_ratio") != nullptr) {
       Result<double> ratio =
-          GetNumber(*advisor, "min_benefit_ratio", "config.advisor");
+          JsonNumberField(*advisor, "min_benefit_ratio", "config.advisor");
       if (!ratio.ok()) return ratio.status();
       config.advisor.min_benefit_ratio = *ratio;
     }
     if (advisor->Find("propose_replicas") != nullptr) {
       Result<bool> replicas =
-          GetBool(*advisor, "propose_replicas", "config.advisor");
+          JsonBoolField(*advisor, "propose_replicas", "config.advisor");
       if (!replicas.ok()) return replicas.status();
       config.advisor.propose_replicas = *replicas;
     }
     if (advisor->Find("max_proposals") != nullptr) {
-      Result<int> cap = GetInt(*advisor, "max_proposals", "config.advisor");
+      Result<int> cap =
+          JsonInt32Field(*advisor, "max_proposals", "config.advisor");
       if (!cap.ok()) return cap.status();
       config.advisor.max_proposals = *cap;
     }
@@ -365,13 +130,13 @@ Result<ServiceConfig> ServiceConfigFromJson(const JsonValue& v) {
         "config.pricing"));
     if (pricing->Find("instance_per_hour") != nullptr) {
       Result<double> rate =
-          GetNumber(*pricing, "instance_per_hour", "config.pricing");
+          JsonNumberField(*pricing, "instance_per_hour", "config.pricing");
       if (!rate.ok()) return rate.status();
       config.pricing.instance_per_hour = *rate;
     }
     if (pricing->Find("storage_per_gb_month") != nullptr) {
       Result<double> rate =
-          GetNumber(*pricing, "storage_per_gb_month", "config.pricing");
+          JsonNumberField(*pricing, "storage_per_gb_month", "config.pricing");
       if (!rate.ok()) return rate.status();
       config.pricing.storage_per_gb_month = *rate;
     }
@@ -381,8 +146,8 @@ Result<ServiceConfig> ServiceConfigFromJson(const JsonValue& v) {
     OPTSHARE_RETURN_NOT_OK(CheckFields(
         *admission, {"mutating_ops_per_sec", "burst"}, "config.admission"));
     if (admission->Find("mutating_ops_per_sec") != nullptr) {
-      Result<double> rate =
-          GetNumber(*admission, "mutating_ops_per_sec", "config.admission");
+      Result<double> rate = JsonNumberField(*admission, "mutating_ops_per_sec",
+                                            "config.admission");
       if (!rate.ok()) return rate.status();
       if (*rate < 0.0) {
         return Status::InvalidArgument(
@@ -391,7 +156,8 @@ Result<ServiceConfig> ServiceConfigFromJson(const JsonValue& v) {
       config.admission.mutating_ops_per_sec = *rate;
     }
     if (admission->Find("burst") != nullptr) {
-      Result<double> burst = GetNumber(*admission, "burst", "config.admission");
+      Result<double> burst =
+          JsonNumberField(*admission, "burst", "config.admission");
       if (!burst.ok()) return burst.status();
       if (*burst < 0.0) {
         return Status::InvalidArgument(
@@ -412,7 +178,7 @@ JsonValue ToJson(const CatalogSpec& spec) {
   } else {
     JsonValue tables = JsonValue::MakeArray();
     for (const simdb::TableDef& table : spec.tables) {
-      tables.Append(ToJson(table));
+      tables.Append(simdb::ToJson(table));
     }
     obj.Set("tables", std::move(tables));
   }
@@ -431,16 +197,16 @@ Result<CatalogSpec> CatalogSpecFromJson(const JsonValue& v) {
         "catalog: exactly one of \"scenario\" and \"tables\" must be given");
   }
   if (has_scenario) {
-    Result<std::string> scenario = GetString(v, "scenario", "catalog");
+    Result<std::string> scenario = JsonStringField(v, "scenario", "catalog");
     if (!scenario.ok()) return scenario.status();
     spec.scenario = std::move(*scenario);
     if (v.Find("tenants") != nullptr) {
-      Result<int> tenants = GetInt(v, "tenants", "catalog");
+      Result<int> tenants = JsonInt32Field(v, "tenants", "catalog");
       if (!tenants.ok()) return tenants.status();
       spec.scenario_tenants = *tenants;
     }
     if (v.Find("slots") != nullptr) {
-      Result<int> slots = GetInt(v, "slots", "catalog");
+      Result<int> slots = JsonInt32Field(v, "slots", "catalog");
       if (!slots.ok()) return slots.status();
       spec.scenario_slots = *slots;
     }
@@ -449,13 +215,11 @@ Result<CatalogSpec> CatalogSpecFromJson(const JsonValue& v) {
       return Status::InvalidArgument(
           "catalog: \"tenants\"/\"slots\" only apply to scenario catalogs");
     }
-    const JsonValue* tables = v.Find("tables");
-    if (!tables->is_array()) {
-      return Status::InvalidArgument(
-          "catalog: field \"tables\" must be an array");
-    }
-    for (const JsonValue& table_v : tables->AsArray()) {
-      Result<simdb::TableDef> table = TableDefFromJson(table_v);
+    Result<const JsonValue::Array*> tables =
+        JsonArrayField(v, "tables", "catalog");
+    if (!tables.ok()) return tables.status();
+    for (const JsonValue& table_v : **tables) {
+      Result<simdb::TableDef> table = simdb::TableDefFromJson(table_v);
       if (!table.ok()) return table.status();
       spec.tables.push_back(std::move(*table));
     }
@@ -511,15 +275,13 @@ Result<PeriodReport> PeriodReportFromJson(const JsonValue& v) {
   OPTSHARE_RETURN_NOT_OK(
       CheckFields(v, {"period", "structures", "ledger"}, "report"));
   PeriodReport report;
-  Result<int> period = GetInt(v, "period", "report");
+  Result<int> period = JsonInt32Field(v, "period", "report");
   if (!period.ok()) return period.status();
   report.period = *period;
-  const JsonValue* structures = v.Find("structures");
-  if (structures == nullptr || !structures->is_array()) {
-    return Status::InvalidArgument(
-        "report: field \"structures\" must be an array");
-  }
-  for (const JsonValue& s : structures->AsArray()) {
+  Result<const JsonValue::Array*> structures =
+      JsonArrayField(v, "structures", "report");
+  if (!structures.ok()) return structures.status();
+  for (const JsonValue& s : **structures) {
     OPTSHARE_RETURN_NOT_OK(CheckObject(s, "structure"));
     OPTSHARE_RETURN_NOT_OK(CheckFields(
         s,
@@ -527,41 +289,41 @@ Result<PeriodReport> PeriodReportFromJson(const JsonValue& v) {
          "num_subscribers", "serviced"},
         "structure"));
     StructureOutcome outcome;
-    Result<std::string> name = GetString(s, "name", "structure");
+    Result<std::string> name = JsonStringField(s, "name", "structure");
     if (!name.ok()) return name.status();
     outcome.name = std::move(*name);
-    Result<double> cost = GetNumber(s, "cost", "structure");
+    Result<double> cost = JsonNumberField(s, "cost", "structure");
     if (!cost.ok()) return cost.status();
     outcome.cost = *cost;
-    Result<bool> active = GetBool(s, "active", "structure");
+    Result<bool> active = JsonBoolField(s, "active", "structure");
     if (!active.ok()) return active.status();
     outcome.active = *active;
-    Result<bool> carried = GetBool(s, "carried_over", "structure");
+    Result<bool> carried = JsonBoolField(s, "carried_over", "structure");
     if (!carried.ok()) return carried.status();
     outcome.carried_over = *carried;
-    Result<int> candidates = GetInt(s, "num_candidates", "structure");
+    Result<int> candidates = JsonInt32Field(s, "num_candidates", "structure");
     if (!candidates.ok()) return candidates.status();
     outcome.num_candidates = *candidates;
-    Result<int> subscribers = GetInt(s, "num_subscribers", "structure");
+    Result<int> subscribers = JsonInt32Field(s, "num_subscribers", "structure");
     if (!subscribers.ok()) return subscribers.status();
     outcome.num_subscribers = *subscribers;
     // Absent in pre-strategy-lab reports (journals/snapshots recorded
     // before the field existed): parse leniently.
-    const JsonValue* serviced = s.Find("serviced");
-    if (serviced != nullptr) {
-      if (!serviced->is_array()) {
-        return Status::InvalidArgument(
-            "structure: field \"serviced\" must be an array");
-      }
-      for (const JsonValue& entry_v : serviced->AsArray()) {
+    if (s.Find("serviced") != nullptr) {
+      Result<const JsonValue::Array*> serviced =
+          JsonArrayField(s, "serviced", "structure");
+      if (!serviced.ok()) return serviced.status();
+      for (const JsonValue& entry_v : **serviced) {
         OPTSHARE_RETURN_NOT_OK(CheckObject(entry_v, "serviced entry"));
         OPTSHARE_RETURN_NOT_OK(CheckFields(
             entry_v, {"tenant", "from_slot"}, "serviced entry"));
         StructureOutcome::ServicedEntry entry;
-        Result<int> tenant = GetInt(entry_v, "tenant", "serviced entry");
+        Result<int> tenant =
+            JsonInt32Field(entry_v, "tenant", "serviced entry");
         if (!tenant.ok()) return tenant.status();
         entry.tenant = *tenant;
-        Result<int> from = GetInt(entry_v, "from_slot", "serviced entry");
+        Result<int> from =
+            JsonInt32Field(entry_v, "from_slot", "serviced entry");
         if (!from.ok()) return from.status();
         entry.from_slot = *from;
         outcome.serviced.push_back(entry);
@@ -576,19 +338,17 @@ Result<PeriodReport> PeriodReportFromJson(const JsonValue& v) {
   OPTSHARE_RETURN_NOT_OK(CheckObject(*ledger, "ledger"));
   OPTSHARE_RETURN_NOT_OK(CheckFields(
       *ledger, {"total_cost", "user_value", "user_payment"}, "ledger"));
-  Result<double> total_cost = GetNumber(*ledger, "total_cost", "ledger");
+  Result<double> total_cost = JsonNumberField(*ledger, "total_cost", "ledger");
   if (!total_cost.ok()) return total_cost.status();
   report.ledger.total_cost = *total_cost;
   for (const char* key : {"user_value", "user_payment"}) {
-    const JsonValue* array = ledger->Find(key);
-    if (array == nullptr || !array->is_array()) {
-      return Status::InvalidArgument(std::string("ledger: field \"") + key +
-                                     "\" must be an array");
-    }
+    Result<const JsonValue::Array*> array =
+        JsonArrayField(*ledger, key, "ledger");
+    if (!array.ok()) return array.status();
     std::vector<double>& out = std::string(key) == "user_value"
                                    ? report.ledger.user_value
                                    : report.ledger.user_payment;
-    for (const JsonValue& number : array->AsArray()) {
+    for (const JsonValue& number : **array) {
       if (!number.is_number()) {
         return Status::InvalidArgument(std::string("ledger: \"") + key +
                                        "\" entries must be numbers");
@@ -614,7 +374,7 @@ Status FieldMustBe(const char* ctx, const char* key, const char* type) {
 
 Status GetPositiveInt(const JsonValue& v, const char* key, const char* ctx,
                       int* out) {
-  Result<int> number = GetInt(v, key, ctx);
+  Result<int> number = JsonInt32Field(v, key, ctx);
   if (!number.ok()) return number.status();
   if (*number < 1) {
     return Status::InvalidArgument(std::string(ctx) + ": \"" + key +
@@ -659,12 +419,10 @@ const FieldCodec kFieldCodecs[] = {
      }},
     {field::kTenants, "tenants",
      [](const JsonValue& doc, const char* key, const char* ctx, Request* out) {
-       const JsonValue* tenants = doc.Find(key);
-       if (tenants == nullptr || !tenants->is_array()) {
-         return FieldMustBe(ctx, key, "an array");
-       }
-       for (const JsonValue& tenant_v : tenants->AsArray()) {
-         Result<simdb::SimUser> tenant = SimUserFromJson(tenant_v);
+       Result<const JsonValue::Array*> tenants = JsonArrayField(doc, key, ctx);
+       if (!tenants.ok()) return tenants.status();
+       for (const JsonValue& tenant_v : **tenants) {
+         Result<simdb::SimUser> tenant = simdb::SimUserFromJson(tenant_v);
          if (!tenant.ok()) return tenant.status();
          out->tenants.push_back(std::move(*tenant));
        }
@@ -674,13 +432,13 @@ const FieldCodec kFieldCodecs[] = {
        JsonValue tenants = JsonValue::MakeArray();
        tenants.Reserve(request.tenants.size());
        for (const simdb::SimUser& tenant : request.tenants) {
-         tenants.Append(ToJson(tenant));
+         tenants.Append(simdb::ToJson(tenant));
        }
        obj->Set(key, std::move(tenants));
      }},
     {field::kTenant, "tenant",
      [](const JsonValue& doc, const char* key, const char* ctx, Request* out) {
-       Result<int> tenant = GetInt(doc, key, ctx);
+       Result<int> tenant = JsonInt32Field(doc, key, ctx);
        if (tenant.ok()) out->tenant = *tenant;
        return tenant.status();
      },
@@ -707,7 +465,7 @@ const FieldCodec kFieldCodecs[] = {
      }},
     {field::kRecord, "record",
      [](const JsonValue& doc, const char* key, const char* ctx, Request* out) {
-       Result<std::string> record = GetString(doc, key, ctx);
+       Result<std::string> record = JsonStringField(doc, key, ctx);
        if (record.ok()) out->record = std::move(*record);
        return record.status();
      },
@@ -740,16 +498,14 @@ const FieldCodec kFieldCodecs[] = {
      }},
     {field::kRequests, "requests",
      [](const JsonValue& doc, const char* key, const char* ctx, Request* out) {
-       const JsonValue* members = doc.Find(key);
-       if (members == nullptr || !members->is_array()) {
-         return FieldMustBe(ctx, key, "an array");
-       }
-       if (members->AsArray().empty()) {
+       Result<const JsonValue::Array*> members = JsonArrayField(doc, key, ctx);
+       if (!members.ok()) return members.status();
+       if ((*members)->empty()) {
          return Status::InvalidArgument(std::string(ctx) +
                                         ": \"requests\" must be non-empty");
        }
-       out->requests.reserve(members->AsArray().size());
-       for (const JsonValue& member_v : members->AsArray()) {
+       out->requests.reserve((*members)->size());
+       for (const JsonValue& member_v : **members) {
          Result<Request> member = RequestFromJson(member_v);
          if (!member.ok()) return member.status();
          if ((SpecOf(member->op).flags & kBatchable) == 0) {
@@ -814,7 +570,7 @@ Result<Request> RequestFromJson(const JsonValue& v) {
   OPTSHARE_RETURN_NOT_OK(CheckObject(v, "request"));
   Result<int> version = CheckVersion(v, "request");
   if (!version.ok()) return version.status();
-  Result<std::string> op_name = GetString(v, "op", "request");
+  Result<std::string> op_name = JsonStringField(v, "op", "request");
   if (!op_name.ok()) return op_name.status();
   std::optional<RequestOp> op = RequestOpFromName(*op_name);
   if (!op) {
@@ -831,12 +587,12 @@ Result<Request> RequestFromJson(const JsonValue& v) {
   request.op = *op;
   request.version = *version;
   if (v.Find("id") != nullptr) {
-    Result<std::string> id = GetString(v, "id", "request");
+    Result<std::string> id = JsonStringField(v, "id", "request");
     if (!id.ok()) return id.status();
     request.id = std::move(*id);
   }
   if (spec.tenancy == TenancyRule::kRequired) {
-    Result<std::string> tenancy = GetString(v, "tenancy", "request");
+    Result<std::string> tenancy = JsonStringField(v, "tenancy", "request");
     if (!tenancy.ok()) return tenancy.status();
     if (tenancy->empty()) {
       return Status::InvalidArgument("request: \"tenancy\" must be non-empty");
@@ -851,7 +607,7 @@ Result<Request> RequestFromJson(const JsonValue& v) {
           : "request";
   OPTSHARE_RETURN_NOT_OK(CheckRequestFields(v, spec, ctx));
   if (spec.tenancy == TenancyRule::kOptional && v.Find("tenancy") != nullptr) {
-    Result<std::string> tenancy = GetString(v, "tenancy", ctx);
+    Result<std::string> tenancy = JsonStringField(v, "tenancy", ctx);
     if (!tenancy.ok()) return tenancy.status();
     if (tenancy->empty()) {
       return Status::InvalidArgument(
@@ -908,11 +664,11 @@ Result<Response> ResponseFromJson(const JsonValue& v) {
   Response response;
   response.version = *version;
   if (v.Find("id") != nullptr) {
-    Result<std::string> id = GetString(v, "id", "response");
+    Result<std::string> id = JsonStringField(v, "id", "response");
     if (!id.ok()) return id.status();
     response.id = std::move(*id);
   }
-  Result<bool> ok = GetBool(v, "ok", "response");
+  Result<bool> ok = JsonBoolField(v, "ok", "response");
   if (!ok.ok()) return ok.status();
   if (*ok) {
     if (v.Find("error") != nullptr) {
@@ -935,9 +691,9 @@ Result<Response> ResponseFromJson(const JsonValue& v) {
   OPTSHARE_RETURN_NOT_OK(CheckObject(*error, "error"));
   OPTSHARE_RETURN_NOT_OK(
       CheckFields(*error, {"code", "message", "retry_after_ms"}, "error"));
-  Result<std::string> code_name = GetString(*error, "code", "error");
+  Result<std::string> code_name = JsonStringField(*error, "code", "error");
   if (!code_name.ok()) return code_name.status();
-  Result<std::string> message = GetString(*error, "message", "error");
+  Result<std::string> message = JsonStringField(*error, "message", "error");
   if (!message.ok()) return message.status();
   std::optional<StatusCode> code = StatusCodeFromName(*code_name);
   if (!code || *code == StatusCode::kOk) {
@@ -945,7 +701,7 @@ Result<Response> ResponseFromJson(const JsonValue& v) {
                                    *code_name + "\"");
   }
   if (error->Find("retry_after_ms") != nullptr) {
-    Result<int> retry = GetInt(*error, "retry_after_ms", "error");
+    Result<int> retry = JsonInt32Field(*error, "retry_after_ms", "error");
     if (!retry.ok()) return retry.status();
     if (*retry < 1) {
       return Status::InvalidArgument(

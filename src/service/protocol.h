@@ -170,6 +170,10 @@ inline constexpr uint32_t kRequests = 1u << 9;   ///< Array of requests.
 inline constexpr uint8_t kJournaled = 1u << 0;
 /// OpSpec::flags: the op may be a member of a v3 batch frame.
 inline constexpr uint8_t kBatchable = 1u << 1;
+/// OpSpec::flags: a replication-stream op. It touches only the replica's
+/// store, so the server runs it on its replication lane, never on a
+/// tenancy shard that may itself be waiting on a peer's replication.
+inline constexpr uint8_t kReplication = 1u << 2;
 
 /// One op's wire schema. This table is the only place an op's name,
 /// version, tenancy rule, fields and serving class are written down: the
@@ -183,7 +187,7 @@ struct OpSpec {
   TenancyRule tenancy;
   uint32_t allowed;   ///< field:: bits the document may carry.
   uint32_t required;  ///< field:: bits it must carry (within `allowed`).
-  uint8_t flags;      ///< kJournaled | kBatchable.
+  uint8_t flags;      ///< kJournaled | kBatchable | kReplication.
 };
 
 inline constexpr OpSpec kOpSpecs[] = {
@@ -212,11 +216,11 @@ inline constexpr OpSpec kOpSpecs[] = {
     {RequestOp::kServerInfo, "server_info", 2, TenancyRule::kNone,
      0, 0, kBatchable},
     {RequestOp::kReplAppend, "repl_append", 2, TenancyRule::kRequired,
-     field::kRecord, field::kRecord, kBatchable},
+     field::kRecord, field::kRecord, kBatchable | kReplication},
     {RequestOp::kReplCheckpoint, "repl_checkpoint", 2, TenancyRule::kRequired,
-     field::kSnapshot, field::kSnapshot, kBatchable},
+     field::kSnapshot, field::kSnapshot, kBatchable | kReplication},
     {RequestOp::kReplSync, "repl_sync", 2, TenancyRule::kRequired,
-     0, 0, kBatchable},
+     0, 0, kBatchable | kReplication},
     {RequestOp::kTenancyState, "tenancy_state", 2, TenancyRule::kRequired,
      0, 0, kBatchable},
     {RequestOp::kEvict, "evict", 2, TenancyRule::kRequired,
@@ -264,6 +268,11 @@ inline bool OpTakesTenancy(RequestOp op) {
 /// before execution.
 inline bool OpMutatesTenancy(RequestOp op) {
   return (SpecOf(op).flags & kJournaled) != 0;
+}
+/// True for the replication-stream ops (repl_append, repl_checkpoint,
+/// repl_sync).
+inline bool OpIsReplication(RequestOp op) {
+  return (SpecOf(op).flags & kReplication) != 0;
 }
 
 /// How a tenancy's catalog is bootstrapped over the wire (first open_period
@@ -354,19 +363,17 @@ struct Response {
 };
 
 // -- Serialization ----------------------------------------------------------
+// Tables and tenants inside these documents use simdb's codec
+// (simdb/json.h).
 
 JsonValue ToJson(const Request& request);
 JsonValue ToJson(const Response& response);
-JsonValue ToJson(const simdb::SimUser& tenant);
-JsonValue ToJson(const simdb::TableDef& table);
 JsonValue ToJson(const ServiceConfig& config);
 JsonValue ToJson(const CatalogSpec& spec);
 JsonValue ToJson(const PeriodReport& report);
 
 Result<Request> RequestFromJson(const JsonValue& v);
 Result<Response> ResponseFromJson(const JsonValue& v);
-Result<simdb::SimUser> SimUserFromJson(const JsonValue& v);
-Result<simdb::TableDef> TableDefFromJson(const JsonValue& v);
 Result<ServiceConfig> ServiceConfigFromJson(const JsonValue& v);
 Result<CatalogSpec> CatalogSpecFromJson(const JsonValue& v);
 Result<PeriodReport> PeriodReportFromJson(const JsonValue& v);

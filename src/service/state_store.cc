@@ -12,6 +12,7 @@
 #include "common/fs.h"
 #include "common/logging.h"
 #include "service/protocol.h"
+#include "simdb/json.h"
 
 namespace optshare::service {
 namespace {
@@ -96,7 +97,7 @@ JsonValue ToJson(const TenancySnapshot& snapshot) {
   obj.Set("name", JsonValue::Str(snapshot.name));
   JsonValue tables = JsonValue::MakeArray();
   for (const simdb::TableDef& table : snapshot.tables) {
-    tables.Append(protocol::ToJson(table));
+    tables.Append(simdb::ToJson(table));
   }
   obj.Set("tables", std::move(tables));
   obj.Set("config", protocol::ToJson(snapshot.config));
@@ -112,29 +113,21 @@ JsonValue ToJson(const TenancySnapshot& snapshot) {
 }
 
 Result<TenancySnapshot> TenancySnapshotFromJson(const JsonValue& v) {
-  if (!v.is_object()) {
-    return Status::InvalidArgument("snapshot must be an object");
-  }
-  for (const auto& [key, value] : v.AsObject()) {
-    (void)value;
-    if (key != "name" && key != "tables" && key != "config" &&
-        key != "built" && key != "periods_run" &&
-        key != "cumulative_balance" && key != "cumulative_utility") {
-      return Status::InvalidArgument("snapshot: unknown field \"" + key +
-                                     "\"");
-    }
-  }
+  OPTSHARE_RETURN_NOT_OK(CheckObject(v, "snapshot"));
+  OPTSHARE_RETURN_NOT_OK(CheckFields(
+      v,
+      {"name", "tables", "config", "built", "periods_run",
+       "cumulative_balance", "cumulative_utility"},
+      "snapshot"));
   TenancySnapshot snapshot;
   Result<std::string> name = JsonStringField(v, "name", "snapshot");
   if (!name.ok()) return name.status();
   snapshot.name = std::move(*name);
-  const JsonValue* tables = v.Find("tables");
-  if (tables == nullptr || !tables->is_array()) {
-    return Status::InvalidArgument(
-        "snapshot: field \"tables\" must be an array");
-  }
-  for (const JsonValue& table_v : tables->AsArray()) {
-    Result<simdb::TableDef> table = protocol::TableDefFromJson(table_v);
+  Result<const JsonValue::Array*> tables =
+      JsonArrayField(v, "tables", "snapshot");
+  if (!tables.ok()) return tables.status();
+  for (const JsonValue& table_v : **tables) {
+    Result<simdb::TableDef> table = simdb::TableDefFromJson(table_v);
     if (!table.ok()) return table.status();
     snapshot.tables.push_back(std::move(*table));
   }
@@ -146,12 +139,10 @@ Result<TenancySnapshot> TenancySnapshotFromJson(const JsonValue& v) {
       protocol::ServiceConfigFromJson(*config);
   if (!parsed_config.ok()) return parsed_config.status();
   snapshot.config = std::move(*parsed_config);
-  const JsonValue* built = v.Find("built");
-  if (built == nullptr || !built->is_array()) {
-    return Status::InvalidArgument(
-        "snapshot: field \"built\" must be an array");
-  }
-  for (const JsonValue& name_v : built->AsArray()) {
+  Result<const JsonValue::Array*> built =
+      JsonArrayField(v, "built", "snapshot");
+  if (!built.ok()) return built.status();
+  for (const JsonValue& name_v : **built) {
     if (!name_v.is_string()) {
       return Status::InvalidArgument(
           "snapshot: \"built\" entries must be strings");

@@ -2,227 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
+#include "simdb/json.h"
 #include "simdb/scenarios.h"
 
 namespace optshare::strategy {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
-
-// -- Strict-schema helpers (the wire-protocol parsing style) ----------------
-
-Status CheckObject(const JsonValue& v, const char* ctx) {
-  if (!v.is_object()) {
-    return Status::InvalidArgument(std::string(ctx) + ": must be an object");
-  }
-  return Status::OK();
-}
-
-Status CheckFields(const JsonValue& v,
-                   std::initializer_list<const char*> allowed,
-                   const char* ctx) {
-  for (const auto& [key, value] : v.AsObject()) {
-    bool known = false;
-    for (const char* name : allowed) {
-      if (key == name) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      return Status::InvalidArgument(std::string(ctx) + ": unknown field \"" +
-                                     key + "\"");
-    }
-  }
-  return Status::OK();
-}
-
-Result<double> GetNumber(const JsonValue& v, const char* key,
-                         const char* ctx) {
-  return JsonNumberField(v, key, ctx);
-}
-
-Result<int> GetInt(const JsonValue& v, const char* key, const char* ctx) {
-  Result<int64_t> number = JsonIntField(v, key, ctx);
-  if (!number.ok()) return number.status();
-  if (*number < std::numeric_limits<int>::min() ||
-      *number > std::numeric_limits<int>::max()) {
-    return Status::InvalidArgument(std::string(ctx) + ": field \"" + key +
-                                   "\" must be an integer");
-  }
-  return static_cast<int>(*number);
-}
-
-Result<std::string> GetString(const JsonValue& v, const char* key,
-                              const char* ctx) {
-  return JsonStringField(v, key, ctx);
-}
-
-std::string_view ColumnTypeName(simdb::ColumnType type) {
-  switch (type) {
-    case simdb::ColumnType::kInt64:
-      return "int64";
-    case simdb::ColumnType::kDouble:
-      return "double";
-    case simdb::ColumnType::kString:
-      return "string";
-  }
-  return "int64";
-}
-
-// -- Workload / table documents (same field shapes as the wire protocol) ----
-
-JsonValue ToJson(const simdb::Workload& workload) {
-  JsonValue entries = JsonValue::MakeArray();
-  entries.Reserve(workload.entries.size());
-  for (const simdb::Workload::Entry& entry : workload.entries) {
-    JsonValue query = JsonValue::MakeObject();
-    query.Set("table", JsonValue::Str(entry.query.table));
-    query.Set("aggregate", JsonValue::Bool(entry.query.aggregate));
-    JsonValue predicates = JsonValue::MakeArray();
-    predicates.Reserve(entry.query.predicates.size());
-    for (const simdb::Predicate& pred : entry.query.predicates) {
-      JsonValue p = JsonValue::MakeObject();
-      p.Set("column", JsonValue::Str(pred.column));
-      p.Set("selectivity", JsonValue::Number(pred.selectivity));
-      predicates.Append(std::move(p));
-    }
-    query.Set("predicates", std::move(predicates));
-    JsonValue e = JsonValue::MakeObject();
-    e.Set("frequency", JsonValue::Number(entry.frequency));
-    e.Set("query", std::move(query));
-    entries.Append(std::move(e));
-  }
-  return entries;
-}
-
-Result<simdb::Workload> WorkloadFromJson(const JsonValue& v,
-                                         const char* ctx) {
-  if (!v.is_array()) {
-    return Status::InvalidArgument(std::string(ctx) +
-                                   ": a workload must be an array of entries");
-  }
-  simdb::Workload workload;
-  for (const JsonValue& entry_v : v.AsArray()) {
-    OPTSHARE_RETURN_NOT_OK(CheckObject(entry_v, "workload entry"));
-    OPTSHARE_RETURN_NOT_OK(
-        CheckFields(entry_v, {"frequency", "query"}, "workload entry"));
-    simdb::Workload::Entry entry;
-    Result<double> frequency =
-        GetNumber(entry_v, "frequency", "workload entry");
-    if (!frequency.ok()) return frequency.status();
-    entry.frequency = *frequency;
-    const JsonValue* query_v = entry_v.Find("query");
-    if (query_v == nullptr) {
-      return Status::InvalidArgument("workload entry: missing \"query\"");
-    }
-    OPTSHARE_RETURN_NOT_OK(CheckObject(*query_v, "query"));
-    OPTSHARE_RETURN_NOT_OK(
-        CheckFields(*query_v, {"table", "aggregate", "predicates"}, "query"));
-    Result<std::string> table = GetString(*query_v, "table", "query");
-    if (!table.ok()) return table.status();
-    entry.query.table = std::move(*table);
-    Result<bool> aggregate = JsonBoolField(*query_v, "aggregate", "query");
-    if (!aggregate.ok()) return aggregate.status();
-    entry.query.aggregate = *aggregate;
-    const JsonValue* predicates = query_v->Find("predicates");
-    if (predicates == nullptr || !predicates->is_array()) {
-      return Status::InvalidArgument(
-          "query: field \"predicates\" must be an array");
-    }
-    for (const JsonValue& pred_v : predicates->AsArray()) {
-      OPTSHARE_RETURN_NOT_OK(CheckObject(pred_v, "predicate"));
-      OPTSHARE_RETURN_NOT_OK(
-          CheckFields(pred_v, {"column", "selectivity"}, "predicate"));
-      simdb::Predicate pred;
-      Result<std::string> column = GetString(pred_v, "column", "predicate");
-      if (!column.ok()) return column.status();
-      pred.column = std::move(*column);
-      Result<double> selectivity =
-          GetNumber(pred_v, "selectivity", "predicate");
-      if (!selectivity.ok()) return selectivity.status();
-      pred.selectivity = *selectivity;
-      entry.query.predicates.push_back(std::move(pred));
-    }
-    workload.entries.push_back(std::move(entry));
-  }
-  OPTSHARE_RETURN_NOT_OK(workload.Validate());
-  return workload;
-}
-
-JsonValue ToJson(const simdb::TableDef& table) {
-  JsonValue obj = JsonValue::MakeObject();
-  obj.Set("name", JsonValue::Str(table.name));
-  obj.Set("row_count",
-          JsonValue::Number(static_cast<double>(table.row_count)));
-  JsonValue columns = JsonValue::MakeArray();
-  for (const simdb::Column& column : table.columns) {
-    JsonValue c = JsonValue::MakeObject();
-    c.Set("name", JsonValue::Str(column.name));
-    c.Set("type", JsonValue::Str(std::string(ColumnTypeName(column.type))));
-    c.Set("distinct_values",
-          JsonValue::Number(static_cast<double>(column.distinct_values)));
-    columns.Append(std::move(c));
-  }
-  obj.Set("columns", std::move(columns));
-  return obj;
-}
-
-Result<simdb::TableDef> TableDefFromJson(const JsonValue& v) {
-  OPTSHARE_RETURN_NOT_OK(CheckObject(v, "table"));
-  OPTSHARE_RETURN_NOT_OK(
-      CheckFields(v, {"name", "row_count", "columns"}, "table"));
-  simdb::TableDef table;
-  Result<std::string> name = GetString(v, "name", "table");
-  if (!name.ok()) return name.status();
-  table.name = std::move(*name);
-  Result<double> rows = GetNumber(v, "row_count", "table");
-  if (!rows.ok()) return rows.status();
-  if (*rows < 0.0 || *rows != std::floor(*rows)) {
-    return Status::InvalidArgument(
-        "table: \"row_count\" must be a non-negative integer");
-  }
-  table.row_count = static_cast<uint64_t>(*rows);
-  const JsonValue* columns = v.Find("columns");
-  if (columns == nullptr || !columns->is_array()) {
-    return Status::InvalidArgument(
-        "table: field \"columns\" must be an array");
-  }
-  for (const JsonValue& column_v : columns->AsArray()) {
-    OPTSHARE_RETURN_NOT_OK(CheckObject(column_v, "column"));
-    OPTSHARE_RETURN_NOT_OK(
-        CheckFields(column_v, {"name", "type", "distinct_values"}, "column"));
-    simdb::Column column;
-    Result<std::string> column_name = GetString(column_v, "name", "column");
-    if (!column_name.ok()) return column_name.status();
-    column.name = std::move(*column_name);
-    Result<std::string> type = GetString(column_v, "type", "column");
-    if (!type.ok()) return type.status();
-    if (*type == "int64") {
-      column.type = simdb::ColumnType::kInt64;
-    } else if (*type == "double") {
-      column.type = simdb::ColumnType::kDouble;
-    } else if (*type == "string") {
-      column.type = simdb::ColumnType::kString;
-    } else {
-      return Status::InvalidArgument(
-          "column: unknown type \"" + *type +
-          "\" (want int64, double or string)");
-    }
-    Result<double> distinct = GetNumber(column_v, "distinct_values", "column");
-    if (!distinct.ok()) return distinct.status();
-    if (*distinct < 1.0 || *distinct != std::floor(*distinct)) {
-      return Status::InvalidArgument(
-          "column: \"distinct_values\" must be a positive integer");
-    }
-    column.distinct_values = static_cast<uint64_t>(*distinct);
-    table.columns.push_back(std::move(column));
-  }
-  OPTSHARE_RETURN_NOT_OK(table.Validate());
-  return table;
-}
 
 // -- Variant sub-schemas ----------------------------------------------------
 
@@ -268,7 +55,7 @@ JsonValue ToJson(const ArrivalSpec& arrival) {
 
 Result<ArrivalSpec> ArrivalFromJson(const JsonValue& v) {
   OPTSHARE_RETURN_NOT_OK(CheckObject(v, "arrival"));
-  Result<std::string> process = GetString(v, "process", "arrival");
+  Result<std::string> process = JsonStringField(v, "process", "arrival");
   if (!process.ok()) return process.status();
   ArrivalSpec arrival;
   if (*process == "uniform") {
@@ -279,7 +66,7 @@ Result<ArrivalSpec> ArrivalFromJson(const JsonValue& v) {
                                           : ArrivalSpec::Process::kLate;
     OPTSHARE_RETURN_NOT_OK(CheckFields(v, {"process", "mean"}, "arrival"));
     if (v.Find("mean") != nullptr) {
-      Result<double> mean = GetNumber(v, "mean", "arrival");
+      Result<double> mean = JsonNumberField(v, "mean", "arrival");
       if (!mean.ok()) return mean.status();
       arrival.mean = *mean;
     }
@@ -287,14 +74,14 @@ Result<ArrivalSpec> ArrivalFromJson(const JsonValue& v) {
     arrival.process = ArrivalSpec::Process::kDiurnal;
     OPTSHARE_RETURN_NOT_OK(CheckFields(
         v, {"process", "amplitude", "wavelength", "phase"}, "arrival"));
-    Result<double> amplitude = GetNumber(v, "amplitude", "arrival");
+    Result<double> amplitude = JsonNumberField(v, "amplitude", "arrival");
     if (!amplitude.ok()) return amplitude.status();
     arrival.amplitude = *amplitude;
-    Result<double> wavelength = GetNumber(v, "wavelength", "arrival");
+    Result<double> wavelength = JsonNumberField(v, "wavelength", "arrival");
     if (!wavelength.ok()) return wavelength.status();
     arrival.wavelength = *wavelength;
     if (v.Find("phase") != nullptr) {
-      Result<double> phase = GetNumber(v, "phase", "arrival");
+      Result<double> phase = JsonNumberField(v, "phase", "arrival");
       if (!phase.ok()) return phase.status();
       arrival.phase = *phase;
     } else {
@@ -304,13 +91,13 @@ Result<ArrivalSpec> ArrivalFromJson(const JsonValue& v) {
     arrival.process = ArrivalSpec::Process::kFlash;
     OPTSHARE_RETURN_NOT_OK(CheckFields(
         v, {"process", "peak_slot", "width", "multiplier"}, "arrival"));
-    Result<int> peak = GetInt(v, "peak_slot", "arrival");
+    Result<int> peak = JsonInt32Field(v, "peak_slot", "arrival");
     if (!peak.ok()) return peak.status();
     arrival.peak_slot = *peak;
-    Result<int> width = GetInt(v, "width", "arrival");
+    Result<int> width = JsonInt32Field(v, "width", "arrival");
     if (!width.ok()) return width.status();
     arrival.width = *width;
-    Result<double> multiplier = GetNumber(v, "multiplier", "arrival");
+    Result<double> multiplier = JsonNumberField(v, "multiplier", "arrival");
     if (!multiplier.ok()) return multiplier.status();
     arrival.multiplier = *multiplier;
   } else {
@@ -359,7 +146,7 @@ Result<DurationSpec> DurationFromJson(const JsonValue& v) {
     }
     duration.kind = DurationSpec::Kind::kToHorizon;
   } else if (v.Find("fixed") != nullptr) {
-    Result<int> fixed = GetInt(v, "fixed", "duration");
+    Result<int> fixed = JsonInt32Field(v, "fixed", "duration");
     if (!fixed.ok()) return fixed.status();
     duration.kind = DurationSpec::Kind::kFixed;
     duration.fixed = *fixed;
@@ -416,7 +203,7 @@ JsonValue ToJson(const IntervalSpec& interval) {
 
 Result<IntervalSpec> IntervalFromJson(const JsonValue& v) {
   OPTSHARE_RETURN_NOT_OK(CheckObject(v, "interval"));
-  Result<std::string> kind = GetString(v, "kind", "interval");
+  Result<std::string> kind = JsonStringField(v, "kind", "interval");
   if (!kind.ok()) return kind.status();
   IntervalSpec interval;
   if (*kind == "full") {
@@ -426,10 +213,10 @@ Result<IntervalSpec> IntervalFromJson(const JsonValue& v) {
     OPTSHARE_RETURN_NOT_OK(
         CheckFields(v, {"kind", "modulo", "span"}, "interval"));
     interval.kind = IntervalSpec::Kind::kStaggered;
-    Result<int> modulo = GetInt(v, "modulo", "interval");
+    Result<int> modulo = JsonInt32Field(v, "modulo", "interval");
     if (!modulo.ok()) return modulo.status();
     interval.modulo = *modulo;
-    Result<int> span = GetInt(v, "span", "interval");
+    Result<int> span = JsonInt32Field(v, "span", "interval");
     if (!span.ok()) return span.status();
     interval.span = *span;
   } else if (*kind == "sampled") {
@@ -503,7 +290,7 @@ Result<ExecutionsSpec> ExecutionsFromJson(const JsonValue& v) {
   }
   ExecutionsSpec executions;
   if (v.Find("fixed") != nullptr) {
-    Result<double> fixed = GetNumber(v, "fixed", "executions");
+    Result<double> fixed = JsonNumberField(v, "fixed", "executions");
     if (!fixed.ok()) return fixed.status();
     executions.kind = ExecutionsSpec::Kind::kFixed;
     executions.fixed = *fixed;
@@ -538,14 +325,14 @@ Result<ExecutionsSpec> ExecutionsFromJson(const JsonValue& v) {
     OPTSHARE_RETURN_NOT_OK(
         CheckFields(*pareto, {"scale", "alpha", "cap"}, "pareto"));
     executions.kind = ExecutionsSpec::Kind::kPareto;
-    Result<double> scale = GetNumber(*pareto, "scale", "pareto");
+    Result<double> scale = JsonNumberField(*pareto, "scale", "pareto");
     if (!scale.ok()) return scale.status();
     executions.scale = *scale;
-    Result<double> alpha = GetNumber(*pareto, "alpha", "pareto");
+    Result<double> alpha = JsonNumberField(*pareto, "alpha", "pareto");
     if (!alpha.ok()) return alpha.status();
     executions.alpha = *alpha;
     if (pareto->Find("cap") != nullptr) {
-      Result<double> cap = GetNumber(*pareto, "cap", "pareto");
+      Result<double> cap = JsonNumberField(*pareto, "cap", "pareto");
       if (!cap.ok()) return cap.status();
       executions.cap = *cap;
     } else {
@@ -833,7 +620,7 @@ Result<TraceConfig> TraceConfigFromJson(const JsonValue& doc) {
       "trace"));
   TraceConfig config;
   if (doc.Find("name") != nullptr) {
-    Result<std::string> name = GetString(doc, "name", "trace");
+    Result<std::string> name = JsonStringField(doc, "name", "trace");
     if (!name.ok()) return name.status();
     config.name = std::move(*name);
   }
@@ -846,23 +633,23 @@ Result<TraceConfig> TraceConfigFromJson(const JsonValue& doc) {
     config.seed = static_cast<uint64_t>(*seed);
   }
   if (doc.Find("periods") != nullptr) {
-    Result<int> periods = GetInt(doc, "periods", "trace");
+    Result<int> periods = JsonInt32Field(doc, "periods", "trace");
     if (!periods.ok()) return periods.status();
     config.periods = *periods;
   }
   if (doc.Find("slots_per_period") != nullptr) {
-    Result<int> slots = GetInt(doc, "slots_per_period", "trace");
+    Result<int> slots = JsonInt32Field(doc, "slots_per_period", "trace");
     if (!slots.ok()) return slots.status();
     config.slots_per_period = *slots;
   }
   if (doc.Find("mechanism") != nullptr) {
-    Result<std::string> mechanism = GetString(doc, "mechanism", "trace");
+    Result<std::string> mechanism = JsonStringField(doc, "mechanism", "trace");
     if (!mechanism.ok()) return mechanism.status();
     config.mechanism = std::move(*mechanism);
   }
   if (doc.Find("maintenance_fraction") != nullptr) {
     Result<double> fraction =
-        GetNumber(doc, "maintenance_fraction", "trace");
+        JsonNumberField(doc, "maintenance_fraction", "trace");
     if (!fraction.ok()) return fraction.status();
     config.maintenance_fraction = *fraction;
   }
@@ -875,59 +662,55 @@ Result<TraceConfig> TraceConfigFromJson(const JsonValue& doc) {
   OPTSHARE_RETURN_NOT_OK(CheckFields(
       *catalog, {"scenario", "tenants", "slots", "tables"}, "catalog"));
   if (catalog->Find("scenario") != nullptr) {
-    Result<std::string> scenario = GetString(*catalog, "scenario", "catalog");
+    Result<std::string> scenario =
+        JsonStringField(*catalog, "scenario", "catalog");
     if (!scenario.ok()) return scenario.status();
     config.catalog.scenario = std::move(*scenario);
     if (catalog->Find("tenants") != nullptr) {
-      Result<int> tenants = GetInt(*catalog, "tenants", "catalog");
+      Result<int> tenants = JsonInt32Field(*catalog, "tenants", "catalog");
       if (!tenants.ok()) return tenants.status();
       config.catalog.scenario_tenants = *tenants;
     }
     if (catalog->Find("slots") != nullptr) {
-      Result<int> slots = GetInt(*catalog, "slots", "catalog");
+      Result<int> slots = JsonInt32Field(*catalog, "slots", "catalog");
       if (!slots.ok()) return slots.status();
       config.catalog.scenario_slots = *slots;
     }
   }
   if (catalog->Find("tables") != nullptr) {
-    const JsonValue* tables = catalog->Find("tables");
-    if (!tables->is_array()) {
-      return Status::InvalidArgument(
-          "catalog: field \"tables\" must be an array");
-    }
-    for (const JsonValue& table_v : tables->AsArray()) {
-      Result<simdb::TableDef> table = TableDefFromJson(table_v);
+    Result<const JsonValue::Array*> tables =
+        JsonArrayField(*catalog, "tables", "catalog");
+    if (!tables.ok()) return tables.status();
+    for (const JsonValue& table_v : **tables) {
+      Result<simdb::TableDef> table = simdb::TableDefFromJson(table_v);
       if (!table.ok()) return table.status();
+      OPTSHARE_RETURN_NOT_OK(table->Validate());
       config.catalog.tables.push_back(std::move(*table));
     }
   }
 
-  const JsonValue* classes = doc.Find("classes");
-  if (classes == nullptr || !classes->is_array()) {
-    return Status::InvalidArgument(
-        "trace: field \"classes\" must be an array");
-  }
-  for (const JsonValue& class_v : classes->AsArray()) {
+  Result<const JsonValue::Array*> classes =
+      JsonArrayField(doc, "classes", "trace");
+  if (!classes.ok()) return classes.status();
+  for (const JsonValue& class_v : **classes) {
     OPTSHARE_RETURN_NOT_OK(CheckObject(class_v, "class"));
     OPTSHARE_RETURN_NOT_OK(CheckFields(
         class_v, {"name", "count", "workloads", "executions", "interval"},
         "class"));
     TenantClass cls;
-    Result<std::string> name = GetString(class_v, "name", "class");
+    Result<std::string> name = JsonStringField(class_v, "name", "class");
     if (!name.ok()) return name.status();
     cls.name = std::move(*name);
-    Result<int> count = GetInt(class_v, "count", "class");
+    Result<int> count = JsonInt32Field(class_v, "count", "class");
     if (!count.ok()) return count.status();
     cls.count = *count;
-    const JsonValue* workloads = class_v.Find("workloads");
-    if (workloads == nullptr || !workloads->is_array()) {
-      return Status::InvalidArgument(
-          "class: field \"workloads\" must be an array");
-    }
-    for (const JsonValue& workload_v : workloads->AsArray()) {
-      Result<simdb::Workload> workload =
-          WorkloadFromJson(workload_v, "class");
+    Result<const JsonValue::Array*> workloads =
+        JsonArrayField(class_v, "workloads", "class");
+    if (!workloads.ok()) return workloads.status();
+    for (const JsonValue& workload_v : **workloads) {
+      Result<simdb::Workload> workload = simdb::WorkloadFromJson(workload_v);
       if (!workload.ok()) return workload.status();
+      OPTSHARE_RETURN_NOT_OK(workload->Validate());
       cls.workloads.push_back(std::move(*workload));
     }
     const JsonValue* executions = class_v.Find("executions");
@@ -948,28 +731,27 @@ Result<TraceConfig> TraceConfigFromJson(const JsonValue& doc) {
   }
 
   if (doc.Find("departures") != nullptr) {
-    const JsonValue* departures = doc.Find("departures");
-    if (!departures->is_array()) {
-      return Status::InvalidArgument(
-          "trace: field \"departures\" must be an array");
-    }
-    for (const JsonValue& departure_v : departures->AsArray()) {
+    Result<const JsonValue::Array*> departures =
+        JsonArrayField(doc, "departures", "trace");
+    if (!departures.ok()) return departures.status();
+    for (const JsonValue& departure_v : **departures) {
       OPTSHARE_RETURN_NOT_OK(CheckObject(departure_v, "departure"));
       OPTSHARE_RETURN_NOT_OK(CheckFields(
           departure_v, {"period", "slot", "fraction", "class"}, "departure"));
       DepartureSpec departure;
-      Result<int> period = GetInt(departure_v, "period", "departure");
+      Result<int> period = JsonInt32Field(departure_v, "period", "departure");
       if (!period.ok()) return period.status();
       departure.period = *period;
-      Result<int> slot = GetInt(departure_v, "slot", "departure");
+      Result<int> slot = JsonInt32Field(departure_v, "slot", "departure");
       if (!slot.ok()) return slot.status();
       departure.slot = *slot;
       Result<double> fraction =
-          GetNumber(departure_v, "fraction", "departure");
+          JsonNumberField(departure_v, "fraction", "departure");
       if (!fraction.ok()) return fraction.status();
       departure.fraction = *fraction;
       if (departure_v.Find("class") != nullptr) {
-        Result<std::string> cls = GetString(departure_v, "class", "departure");
+        Result<std::string> cls =
+            JsonStringField(departure_v, "class", "departure");
         if (!cls.ok()) return cls.status();
         departure.class_name = std::move(*cls);
       }
@@ -1005,7 +787,7 @@ JsonValue ToJson(const TraceConfig& config) {
     JsonValue tables = JsonValue::MakeArray();
     tables.Reserve(config.catalog.tables.size());
     for (const simdb::TableDef& table : config.catalog.tables) {
-      tables.Append(ToJson(table));
+      tables.Append(simdb::ToJson(table));
     }
     catalog.Set("tables", std::move(tables));
   }
@@ -1019,7 +801,7 @@ JsonValue ToJson(const TraceConfig& config) {
     JsonValue workloads = JsonValue::MakeArray();
     workloads.Reserve(cls.workloads.size());
     for (const simdb::Workload& workload : cls.workloads) {
-      workloads.Append(ToJson(workload));
+      workloads.Append(simdb::ToJson(workload));
     }
     c.Set("workloads", std::move(workloads));
     c.Set("executions", ToJson(cls.executions));
@@ -1160,14 +942,9 @@ JsonValue ToJson(const Trace& trace) {
     JsonValue tenants = JsonValue::MakeArray();
     tenants.Reserve(period.tenants.size());
     for (const TraceTenant& drawn : period.tenants) {
-      JsonValue t = JsonValue::MakeObject();
+      JsonValue t = simdb::ToJson(drawn.tenant);
       t.Set("class", JsonValue::Number(drawn.class_index));
       t.Set("member", JsonValue::Number(drawn.member_index));
-      t.Set("start", JsonValue::Number(drawn.tenant.start));
-      t.Set("end", JsonValue::Number(drawn.tenant.end));
-      t.Set("executions_per_slot",
-            JsonValue::Number(drawn.tenant.executions_per_slot));
-      t.Set("workload", ToJson(drawn.tenant.workload));
       tenants.Append(std::move(t));
     }
     p.Set("tenants", std::move(tenants));

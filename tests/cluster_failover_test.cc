@@ -8,13 +8,20 @@
 // server_info counters.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/node.h"
 #include "cluster/placement.h"
 #include "cluster/router.h"
+#include "common/net.h"
 #include "common/rng.h"
 #include "service/marketplace_server.h"
 #include "service/net_client.h"
@@ -705,6 +712,131 @@ TEST(ClusterFrontEndTest, RejectedLinesAnswerLikeANodeByteForByte) {
     router_server.Stop();
     node.Stop();
   }
+}
+
+/// Waits up to `limit` for `done()`. A test whose threads may be deadlocked
+/// cannot join them, so on a timeout it reports the failure and ends the
+/// process: the suite fails instead of hanging.
+void WatchdogOrExit(const std::function<bool()>& done,
+                    std::chrono::milliseconds limit, const std::string& what) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (done()) return;
+  ADD_FAILURE() << what << " did not finish within " << limit.count()
+                << " ms";
+  std::fflush(stdout);
+  std::_Exit(1);
+}
+
+// Two owners that replicate to each other, one worker each, written to
+// concurrently through one RouterServer. Each owner's write waits on its
+// replica's ack; the replica's repl_append must not queue behind that
+// replica's own blocked owner write, or the two nodes wait on each other
+// forever.
+TEST(ClusterReplicationLaneTest, CrossReplicatingOwnersNeverDeadlock) {
+  auto cluster = StartCluster(/*num_nodes=*/2, /*workers=*/1);
+  std::vector<std::string> tenancies;
+  std::vector<std::string> owners;
+  for (int i = 0; tenancies.size() < 2 && i < 1000; ++i) {
+    const std::string name = "lane-" + std::to_string(i);
+    const std::string owner = cluster->OwnerIdOf(name);
+    if (owners.empty() || owners.front() != owner) {
+      tenancies.push_back(name);
+      owners.push_back(owner);
+    }
+  }
+  ASSERT_EQ(tenancies.size(), 2u);
+  RouterServer router_server(cluster->router.get());
+  ASSERT_TRUE(router_server.Start().ok());
+
+  constexpr int kAdvances = 2000;
+  std::atomic<int> answered{0};
+  std::atomic<int> failed{0};
+  std::vector<std::thread> clients;
+  for (const std::string& tenancy : tenancies) {
+    clients.emplace_back([&, tenancy] {
+      Result<service::NetClient> client =
+          service::NetClient::Connect("127.0.0.1", router_server.port());
+      if (!client.ok()) {
+        failed.fetch_add(kAdvances + 1);
+        answered.fetch_add(kAdvances + 1);
+        return;
+      }
+      std::vector<std::string> lines = {
+          R"({"v":1,"op":"open_period","tenancy":")" + tenancy +
+          R"(","catalog":{"scenario":"telemetry","tenants":4,"slots":6},)"
+          R"("config":{"slots_per_period":)" +
+          std::to_string(kAdvances) + "}}"};
+      for (int i = 0; i < kAdvances; ++i) {
+        lines.push_back(R"({"v":1,"op":"advance_slot","tenancy":")" +
+                        tenancy + R"("})");
+      }
+      for (const std::string& line : lines) {
+        Result<std::string> answer = client->Call(line);
+        if (!answer.ok() ||
+            answer->find("\"ok\":true") == std::string::npos) {
+          failed.fetch_add(1);
+        }
+        answered.fetch_add(1);
+      }
+    });
+  }
+  WatchdogOrExit([&] { return answered.load() == 2 * (kAdvances + 1); },
+                 std::chrono::seconds(60),
+                 "writes to two cross-replicating owners");
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(failed.load(), 0);
+  router_server.Stop();
+}
+
+// A client that keeps sending and never reads its answers must not hold
+// RouterServer::Stop() up: the connection thread's pending write gives up
+// once the server is stopping.
+TEST(RouterServerStopTest, StopReturnsWhileAClientIsNotReading) {
+  Result<PlacementMap> placement =
+      PlacementMap::Create({{"node-0", "127.0.0.1", 1, false}});
+  ASSERT_TRUE(placement.ok()) << placement.status().ToString();
+  RouterOptions options;
+  options.placement = *placement;
+  ClusterRouter router(options);
+  RouterServer router_server(&router);
+  ASSERT_TRUE(router_server.Start().ok());
+
+  Result<net::Socket> socket =
+      net::ConnectTcp("127.0.0.1", router_server.port());
+  ASSERT_TRUE(socket.ok()) << socket.status().ToString();
+  ASSERT_TRUE(net::SetNonBlocking(socket->fd()).ok());
+  // server_info is answered by the router itself. Send until the router
+  // has taken nothing for 500 ms: its answers fill this client's receive
+  // buffer, its write waits, and it stops reading.
+  std::string chunk;
+  for (int i = 0; i < 1000; ++i) chunk += R"({"v":2,"op":"server_info"})" "\n";
+  size_t offset = 0;
+  auto last_progress = std::chrono::steady_clock::now();
+  while (std::chrono::steady_clock::now() - last_progress <
+         std::chrono::milliseconds(500)) {
+    Result<net::IoChunk> wrote = net::WriteChunk(
+        socket->fd(), chunk.data() + offset, chunk.size() - offset);
+    ASSERT_TRUE(wrote.ok()) << wrote.status().ToString();
+    ASSERT_FALSE(wrote->eof);
+    if (wrote->would_block) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      continue;
+    }
+    offset = (offset + wrote->bytes) % chunk.size();
+    last_progress = std::chrono::steady_clock::now();
+  }
+
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    router_server.Stop();
+    stopped.store(true);
+  });
+  WatchdogOrExit([&] { return stopped.load(); }, std::chrono::seconds(2),
+                 "RouterServer::Stop() with a client not reading");
+  stopper.join();
 }
 
 }  // namespace

@@ -336,6 +336,30 @@ TEST(StrategyTraceTest, DuplicateClassNamesRejected) {
   EXPECT_EQ(parsed->Validate().code(), StatusCode::kInvalidArgument);
 }
 
+// Trace configs and open_period catalogs share simdb's table codec: the
+// same malformed column is rejected with the same text by both.
+TEST(StrategyTraceTest, MalformedTableAnswersTheWireErrorText) {
+  const std::string table =
+      R"({"name": "t", "row_count": 10, "columns": [{"name": "a",
+          "type": "int128", "distinct_values": 10}]})";
+  Result<TraceConfig> config = ParseTraceConfig(
+      R"({"catalog": {"tables": [)" + table + R"(]}, "classes": []})");
+  ASSERT_FALSE(config.ok());
+  EXPECT_EQ(config.status().ToString(),
+            "InvalidArgument: column: unknown type \"int128\" "
+            "(int64, double, string)");
+
+  service::MarketplaceServer server;
+  Result<JsonValue> answer = JsonValue::Parse(server.HandleLine(
+      R"({"v":1,"op":"open_period","tenancy":"acme","catalog":{"tables":[)" +
+      table + "]}}"));
+  ASSERT_TRUE(answer.ok());
+  Result<service::protocol::Response> response =
+      service::protocol::ResponseFromJson(*answer);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status.ToString(), config.status().ToString());
+}
+
 TEST(StrategyTraceTest, UnknownScenarioCatalogFailsOnBuild) {
   TraceCatalog catalog;
   catalog.scenario = "galaxies";
